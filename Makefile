@@ -15,7 +15,8 @@
 #   make bench-eventloop  event-loop scale microbenchmark (10k workers / 1M events)
 #   make bench-obs        observability overhead gate + RUN_REPORT.md artifact
 #   make bench-compare    diff fresh BENCH_*.json against benchmarks/baselines
-#   make bench            all figure benchmarks (writes BENCH_*.json)
+#   make bench            all figure benchmarks (writes BENCH_*.json);
+#                         BENCH_SKIP="straggler obs" leaves out test_bench_<name>.py
 
 .PHONY: test test-fast lint lint-det typecheck bench bench-surrogate bench-forest-fit bench-async bench-hetero bench-straggler bench-resilience bench-graydeg bench-eventloop bench-obs bench-compare
 
@@ -65,4 +66,4 @@ bench-compare:
 	python tools/bench_compare.py
 
 bench:
-	PYTHONPATH=src python -m pytest benchmarks -q
+	PYTHONPATH=src python -m pytest benchmarks -q $(foreach gate,$(BENCH_SKIP),--ignore=benchmarks/test_bench_$(gate).py)

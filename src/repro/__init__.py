@@ -8,7 +8,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.systems` — PostgreSQL / Redis / NGINX simulators.
 * :mod:`repro.workloads` — TPC-C, epinions, TPC-H, mssales, YCSB, Wikipedia.
 * :mod:`repro.cloud` — the simulated cloud (VMs, noise, telemetry, studies).
-* :mod:`repro.faults` — stochastic duration models and straggler mitigation.
+* :mod:`repro.faults` — seeded fault injection and straggler mitigation.
 * :mod:`repro.ml` — from-scratch random forest / GP / preprocessing.
 * :mod:`repro.experiments` — per-figure reproduction harnesses.
 """
@@ -23,7 +23,7 @@ from repro.core import (
     deploy_configuration,
 )
 from repro.cloud import Cluster, FleetSpec
-from repro.faults import SpeculationPolicy, build_fault_model
+from repro.faults import FaultModel, SpeculationPolicy
 from repro.optimizers import build_optimizer
 from repro.systems import get_system
 from repro.workloads import get_workload
@@ -33,6 +33,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Cluster",
     "ExecutionEngine",
+    "FaultModel",
     "FleetSpec",
     "NaiveDistributedSampler",
     "SpeculationPolicy",
@@ -40,7 +41,6 @@ __all__ = [
     "TunaSampler",
     "TuningLoop",
     "__version__",
-    "build_fault_model",
     "build_optimizer",
     "build_sampler",
     "deploy_configuration",

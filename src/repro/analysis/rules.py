@@ -250,7 +250,7 @@ class UntaggedRngStream(Rule):
         "`default_rng(seed + k)` style derivation risks stream collisions "
         "(two domains landing on the same seed); derive streams from "
         "`np.random.SeedSequence([master, domain_tag, ...])` or `.spawn()` — "
-        "the `stream_for` pattern in `faults/crash.py` is the reference."
+        "`Injector.stream_for` in `faults/injector.py` is the reference."
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
@@ -268,7 +268,7 @@ class UntaggedRngStream(Rule):
                     f"{name.rsplit('.', 1)[1]}(...) seeded by arithmetic on "
                     "another seed — collision-prone; build the stream from "
                     "np.random.SeedSequence([master, domain_tag, ...]) or "
-                    "spawn() (see faults/crash.py stream_for)",
+                    "spawn() (see Injector.stream_for in faults/injector.py)",
                 )
 
 

@@ -25,8 +25,8 @@ design section:
   tolerance: simulated-time liveness leases with epoch fencing (silent
   workers are *suspected*, their stale reports rejected as zombies) and the
   result-quarantine gate that keeps NaN/Inf/out-of-domain measurements away
-  from the optimizer (the silence models live in
-  :mod:`repro.faults.partition`).
+  from the optimizer (the silence and corruption models live in
+  :mod:`repro.faults`).
 * :mod:`repro.core.samplers` — the full TUNA pipeline plus the baselines it
   is compared against (traditional single-node sampling and naive
   distributed sampling, §6).
@@ -67,34 +67,18 @@ from repro.core.tuner import (
     TuningResult,
     deploy_configuration,
 )
-from repro.core.validation import (
-    CORRUPTION_MODELS,
-    CorruptionContext,
-    CorruptionDecision,
-    CorruptionModel,
-    CorruptResultModel,
-    NoCorruptionModel,
-    ResultValidator,
-    build_corruption_model,
-    build_validator,
-)
+from repro.core.validation import ResultValidator, build_validator
 from repro.core.worker_index import WorkerIndex
 
 __all__ = [
     "AggregationPolicy",
     "AsyncExecutionEngine",
-    "CORRUPTION_MODELS",
     "ClusterEventLoop",
-    "CorruptResultModel",
-    "CorruptionContext",
-    "CorruptionDecision",
-    "CorruptionModel",
     "Datastore",
     "EventLog",
     "EventLogError",
     "GrayStats",
     "IterationReport",
-    "build_corruption_model",
     "build_sampler",
     "build_validator",
     "DeploymentResult",
@@ -108,7 +92,6 @@ __all__ = [
     "StudyInterrupted",
     "MultiFidelityTaskScheduler",
     "NaiveDistributedSampler",
-    "NoCorruptionModel",
     "NoiseAdjuster",
     "OutlierDetector",
     "ResultValidator",

@@ -59,7 +59,7 @@ pop, never evaluated.  A :class:`~repro.core.validation.ResultValidator`
 quarantines NaN/Inf/out-of-domain objective values before they can reach
 the optimizer (re-measured under the retry budget, then surfaced as the
 crash penalty), and
-:class:`~repro.core.validation.CorruptResultModel` is the matching seeded
+:class:`~repro.faults.CorruptResultModel` is the matching seeded
 injector.  The ``"none"`` partition/corruption models, an armed monitor
 with no silence, and a validator on clean values are all structurally
 inert.
@@ -105,29 +105,24 @@ from repro.core.eventlog import config_digest
 from repro.core.execution import ExecutionEngine
 from repro.core.liveness import GrayStats, LivenessMonitor
 from repro.core.telemetry_slots import LoopTelemetry
-from repro.core.validation import (
-    CorruptionContext,
-    CorruptionModel,
-    ResultValidator,
-    build_corruption_model,
-    build_validator,
-)
+from repro.core.validation import ResultValidator, build_validator
 from repro.core.worker_index import WorkerIndex
 from repro.faults import (
-    CrashContext,
+    CorruptionDecision,
+    CorruptionModel,
+    CrashDecision,
     CrashModel,
     CrashStats,
-    FaultContext,
     FaultModel,
-    PartitionContext,
+    InjectionContext,
+    Injector,
+    PartitionDecision,
     PartitionModel,
     PartitionStats,
     SpeculationPolicy,
     SpeculationStats,
     StragglerDetector,
-    build_crash_model,
-    build_fault_model,
-    build_partition_model,
+    active,
 )
 
 if TYPE_CHECKING:  # avoid import cycles; annotations only
@@ -264,23 +259,30 @@ class ClusterEventLoop:
         self,
         cluster: Cluster,
         lockstep: bool = False,
-        fault_model: "FaultModel | str | None" = None,
-        crash_model: "CrashModel | str | None" = None,
+        fault_model: "Injector[float] | str | None" = None,
+        crash_model: "Injector[CrashDecision] | str | None" = None,
         telemetry_window: int = 4096,
         metrics: "Optional[MetricsRegistry]" = None,
-        partition_model: "PartitionModel | str | None" = None,
+        partition_model: "Injector[PartitionDecision] | str | None" = None,
         liveness: Optional[LivenessMonitor] = None,
     ) -> None:
         self.cluster = cluster
         self.lockstep = lockstep
-        self.fault_model = build_fault_model(fault_model)
-        self.crash_model = build_crash_model(crash_model)
+        #: Injectors are ``None`` unless active: a null model is dropped
+        #: here, so the submit path only tests ``is not None``.
+        self.fault_model: Optional[Injector[float]] = active(
+            FaultModel.build(fault_model)
+        )
+        self.crash_model: Optional[Injector[CrashDecision]] = active(
+            CrashModel.build(crash_model)
+        )
         #: Optional gray-failure silence injection (report delays) and the
         #: lease monitor that turns persistent silence into suspicions.
-        #: Both follow the ``"none"`` discipline: an inert partition model
-        #: draws no RNG and delays nothing, and without delays an armed
-        #: monitor schedules no suspicions — bit-for-bit the plain loop.
-        self.partition_model = build_partition_model(partition_model)
+        #: Without delays an armed monitor schedules no suspicions —
+        #: bit-for-bit the plain loop.
+        self.partition_model: Optional[Injector[PartitionDecision]] = active(
+            PartitionModel.build(partition_model)
+        )
         self.liveness = liveness
         self.partition_stats = PartitionStats()
         #: Optional observability registry.  Purely additive: every use is
@@ -357,8 +359,8 @@ class ClusterEventLoop:
         else:
             start = max(self._workers.free_at_of(worker_idx), self.now, not_before)
         stretch = 1.0
-        if self.fault_model is not None and not self.fault_model.is_null:
-            context = FaultContext(
+        if self.fault_model is not None:
+            context = InjectionContext(
                 worker_id=vm.vm_id,
                 start_hours=start,
                 duration_hours=duration_hours,
@@ -366,7 +368,7 @@ class ClusterEventLoop:
                 n_workers=self._workers.n_workers,
                 speculative=speculative,
             )
-            stretch = max(float(self.fault_model.stretch(context)), 0.05)
+            stretch = max(float(self.fault_model.decide(context)), 0.05)
             finish = start + duration_hours * stretch
         else:
             finish = start + duration_hours
@@ -390,9 +392,9 @@ class ClusterEventLoop:
             item.failure_kind = "node-death"
             finish = start
             item.finish_hours = start
-        elif self.crash_model is not None and not self.crash_model.is_null:
+        elif self.crash_model is not None:
             decision = self.crash_model.decide(
-                CrashContext(
+                InjectionContext(
                     worker_id=vm.vm_id,
                     start_hours=start,
                     duration_hours=finish - start,
@@ -414,11 +416,7 @@ class ClusterEventLoop:
                     self._dead[vm.vm_id] = fail_at
                     self._workers.kill(worker_idx)
         item.silent_at = finish
-        if (
-            self.partition_model is not None
-            and not self.partition_model.is_null
-            and not dead_on_arrival
-        ):
+        if self.partition_model is not None and not dead_on_arrival:
             # Gray failures delay the item's *terminal report* — completion
             # and failure alike — and may silence the worker earlier.  The
             # orchestrator's view is pessimistic: the worker's queue is held
@@ -427,7 +425,7 @@ class ClusterEventLoop:
             # delivery instant.  Dead-on-arrival submissions skip the draw
             # (streams are per-worker, so positions stay deterministic).
             partition = self.partition_model.decide(
-                PartitionContext(
+                InjectionContext(
                     worker_id=vm.vm_id,
                     start_hours=start,
                     duration_hours=finish - start,
@@ -660,57 +658,43 @@ class AsyncExecutionEngine:
         execution: ExecutionEngine,
         cluster: Cluster,
         lockstep: bool = False,
-        fault_model: "FaultModel | str | None" = None,
+        fault_model: "Injector[float] | str | None" = None,
         speculation: "SpeculationPolicy | bool | None" = None,
         scheduler: Optional[MultiFidelityTaskScheduler] = None,
         used_workers_fn: Optional[Callable[[Configuration], Sequence[str]]] = None,
-        crash_model: "CrashModel | str | None" = None,
+        crash_model: "Injector[CrashDecision] | str | None" = None,
         retry_policy: Optional[RetryPolicy] = None,
         event_log: Optional[EventLog] = None,
         config_exclusion_capacity: int = 65536,
         metrics: "Optional[MetricsRegistry]" = None,
         tracer: "Optional[TraceRecorder]" = None,
-        partition_model: "PartitionModel | str | None" = None,
+        partition_model: "Injector[PartitionDecision] | str | None" = None,
         lease_timeout_hours: Optional[float] = None,
         validation: "ResultValidator | bool | None" = None,
-        corruption_model: "CorruptionModel | str | None" = None,
+        corruption_model: "Injector[CorruptionDecision] | str | None" = None,
     ) -> None:
         if config_exclusion_capacity < 1:
             raise ValueError("config_exclusion_capacity must be >= 1")
         self.execution = execution
         self.cluster = cluster
         self.lockstep = lockstep
-        fault_model = build_fault_model(fault_model)
-        crash_model = build_crash_model(crash_model)
-        partition_model = build_partition_model(partition_model)
-        corruption_model = build_corruption_model(corruption_model)
+        fault = active(FaultModel.build(fault_model))
+        crash = active(CrashModel.build(crash_model))
+        partition = active(PartitionModel.build(partition_model))
+        corruption = active(CorruptionModel.build(corruption_model))
         if speculation is True:
             speculation = SpeculationPolicy()
         elif speculation is False:
             speculation = None
         if lockstep:
-            if fault_model is not None and not fault_model.is_null:
-                raise ValueError(
-                    "fault injection is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
+            for injector in (fault, crash, partition, corruption):
+                if injector is not None:
+                    raise ValueError(
+                        f"{injector.domain} injection is not supported in "
+                        "lockstep mode (it is the bit-for-bit equivalence gate)"
+                    )
             if speculation is not None:
                 raise ValueError("speculation needs concurrent workers; not lockstep")
-            if crash_model is not None and not crash_model.is_null:
-                raise ValueError(
-                    "crash injection is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
-            if partition_model is not None and not partition_model.is_null:
-                raise ValueError(
-                    "partition injection is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
-            if corruption_model is not None and not corruption_model.is_null:
-                raise ValueError(
-                    "result corruption is not supported in lockstep mode "
-                    "(it is the bit-for-bit equivalence gate)"
-                )
         if lease_timeout_hours is not None and lease_timeout_hours <= 0:
             raise ValueError("lease_timeout_hours must be positive")
         liveness = (
@@ -721,19 +705,18 @@ class AsyncExecutionEngine:
         self.loop = ClusterEventLoop(
             cluster,
             lockstep=lockstep,
-            fault_model=fault_model,
-            crash_model=crash_model,
+            fault_model=fault,
+            crash_model=crash,
             metrics=metrics,
-            partition_model=partition_model,
+            partition_model=partition,
             liveness=liveness,
         )
         #: Gray-failure attachments: the result-quarantine gate between the
         #: engine and the optimizer, the seeded corruption injector that
         #: exercises it, and the run's suspicion/fencing/quarantine tallies.
-        #: A validator on a clean run rejects nothing (inert); the ``"none"``
-        #: corruption model draws no RNG.
+        #: A validator on a clean run rejects nothing (inert).
         self._validator = build_validator(validation)
-        self._corruption_model = corruption_model
+        self._corruption_model: Optional[Injector[CorruptionDecision]] = corruption
         self.gray_stats = GrayStats()
         #: Optional observability instruments (``is not None``-guarded and
         #: write-only, so attaching them is trajectory-inert).
@@ -940,13 +923,13 @@ class AsyncExecutionEngine:
             sample.details["fault_stretch"] = item.stretch
         if item.speculative:
             sample.details["speculative"] = True
-        if self._corruption_model is not None and not self._corruption_model.is_null:
+        if self._corruption_model is not None:
             # Gray-failure garbage injection: the measurement happened (its
             # RNG was consumed above, keeping the measurement streams
             # aligned with clean runs), but the *reported* value is trash.
             # The true value rides along in the details for auditability.
             corruption = self._corruption_model.decide(
-                CorruptionContext(
+                InjectionContext(
                     worker_id=vm.vm_id,
                     start_hours=item.start_hours,
                     duration_hours=item.finish_hours - item.start_hours,
@@ -1327,13 +1310,11 @@ class AsyncExecutionEngine:
     @property
     def gray_enabled(self) -> bool:
         """Whether any gray-failure feature is armed on this engine."""
-        partition = self.loop.partition_model
-        corruption = self._corruption_model
         return (
-            (partition is not None and not partition.is_null)
+            self.loop.partition_model is not None
             or self.loop.liveness is not None
             or self._validator is not None
-            or (corruption is not None and not corruption.is_null)
+            or self._corruption_model is not None
         )
 
     def _retry_or_exhaust(
@@ -1394,6 +1375,14 @@ class AsyncExecutionEngine:
                 self._trace_begin(item, "retry", decided_at)
                 return None
         self.crash_stats.n_exhausted += 1
+        self._log(
+            "exhausted",
+            item=failed_item.sequence,
+            config=request.config,
+            worker=failed_item.vm.vm_id,
+            t=decided_at,
+            attempts=attempts,
+        )
         if self._metrics is not None:
             self._metrics.inc("engine.retries.exhausted")
         sample = self.execution.crashed_sample(

@@ -27,12 +27,12 @@ from repro.cloud.cluster import Cluster
 from repro.cloud.vm import VirtualMachine
 from repro.core.async_engine import WorkItem, WorkRequest
 from repro.faults import (
-    CrashContext,
+    CrashDecision,
     CrashModel,
-    FaultContext,
     FaultModel,
-    build_crash_model,
-    build_fault_model,
+    InjectionContext,
+    Injector,
+    active,
 )
 
 
@@ -47,13 +47,13 @@ class ScanEventLoop:
         self,
         cluster: Cluster,
         lockstep: bool = False,
-        fault_model: "FaultModel | str | None" = None,
-        crash_model: "CrashModel | str | None" = None,
+        fault_model: "Injector[float] | str | None" = None,
+        crash_model: "Injector[CrashDecision] | str | None" = None,
     ) -> None:
         self.cluster = cluster
         self.lockstep = lockstep
-        self.fault_model = build_fault_model(fault_model)
-        self.crash_model = build_crash_model(crash_model)
+        self.fault_model = active(FaultModel.build(fault_model))
+        self.crash_model = active(CrashModel.build(crash_model))
         self._free_at: Dict[str, float] = {vm.vm_id: 0.0 for vm in cluster.workers}
         self._events: List[Tuple[float, int, WorkItem]] = []
         self._sequence = 0
@@ -81,8 +81,8 @@ class ScanEventLoop:
         else:
             start = max(self._free_at[vm.vm_id], self.now, not_before)
         stretch = 1.0
-        if self.fault_model is not None and not self.fault_model.is_null:
-            context = FaultContext(
+        if self.fault_model is not None:
+            context = InjectionContext(
                 worker_id=vm.vm_id,
                 start_hours=start,
                 duration_hours=duration_hours,
@@ -90,7 +90,7 @@ class ScanEventLoop:
                 n_workers=len(self._free_at),
                 speculative=speculative,
             )
-            stretch = max(float(self.fault_model.stretch(context)), 0.05)
+            stretch = max(float(self.fault_model.decide(context)), 0.05)
             finish = start + duration_hours * stretch
         else:
             finish = start + duration_hours
@@ -108,9 +108,9 @@ class ScanEventLoop:
             item.failure_kind = "node-death"
             finish = start
             item.finish_hours = start
-        elif self.crash_model is not None and not self.crash_model.is_null:
+        elif self.crash_model is not None:
             decision = self.crash_model.decide(
-                CrashContext(
+                InjectionContext(
                     worker_id=vm.vm_id,
                     start_hours=start,
                     duration_hours=finish - start,

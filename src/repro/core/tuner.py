@@ -23,20 +23,18 @@ from repro.core.async_engine import AsyncExecutionEngine, RetryPolicy
 from repro.core.eventlog import EventLog
 from repro.core.execution import ExecutionEngine
 from repro.core.samplers import IterationReport, Sampler
-from repro.core.validation import (
-    CorruptionModel,
-    ResultValidator,
-    build_corruption_model,
-    build_validator,
-)
+from repro.core.validation import ResultValidator, build_validator
 from repro.faults import (
+    CorruptionDecision,
+    CorruptionModel,
+    CrashDecision,
     CrashModel,
     FaultModel,
+    Injector,
+    PartitionDecision,
     PartitionModel,
     SpeculationPolicy,
-    build_crash_model,
-    build_fault_model,
-    build_partition_model,
+    active,
 )
 from repro.ml.metrics import coefficient_of_variation, relative_range
 from repro.systems.base import SystemUnderTest
@@ -284,7 +282,7 @@ class TuningLoop:
         On finite in-domain values the gate is bit-for-bit inert.
     corruption_model:
         Optional garbage injection exercising the quarantine gate: a
-        :class:`~repro.core.validation.CorruptionModel` instance or a
+        :class:`~repro.faults.CorruptionModel` instance or a
         registry name (``"none"``, ``"corrupt_result"``).  Corrupts a
         seeded fraction of measured values into NaN/Inf/wild readings
         *after* measurement, so the measurement RNG stays aligned with
@@ -310,10 +308,10 @@ class TuningLoop:
         wall_clock_hours: Optional[float] = None,
         max_samples: Optional[int] = None,
         batch_size: Optional[int] = None,
-        fault_model: FaultModel | str | None = None,
+        fault_model: Injector[float] | str | None = None,
         fault_seed: Optional[int] = None,
         speculation: SpeculationPolicy | bool | None = None,
-        crash_model: CrashModel | str | None = None,
+        crash_model: Injector[CrashDecision] | str | None = None,
         crash_seed: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         event_log: EventLog | str | os.PathLike | None = None,
@@ -323,11 +321,11 @@ class TuningLoop:
         stop_after_waves: Optional[int] = None,
         metrics: "MetricsRegistry | bool | None" = None,
         tracer: "TraceRecorder | bool | None" = None,
-        partition_model: PartitionModel | str | None = None,
+        partition_model: Injector[PartitionDecision] | str | None = None,
         partition_seed: Optional[int] = None,
         lease_timeout: Optional[float] = None,
         validation: "ResultValidator | bool | None" = None,
-        corruption_model: CorruptionModel | str | None = None,
+        corruption_model: Injector[CorruptionDecision] | str | None = None,
         corruption_seed: Optional[int] = None,
     ) -> None:
         if n_iterations is None and wall_clock_hours is None and max_samples is None:
@@ -344,15 +342,18 @@ class TuningLoop:
         self.wall_clock_hours = wall_clock_hours
         self.max_samples = max_samples
         self.batch_size = batch_size
-        self.fault_model = build_fault_model(fault_model, seed=fault_seed)
+        # Null injectors are dropped to ``None`` here, once.
+        self.fault_model = active(FaultModel.build(fault_model, seed=fault_seed))
         self.speculation = speculation if speculation not in (False,) else None
-        self.crash_model = build_crash_model(crash_model, seed=crash_seed)
+        self.crash_model = active(CrashModel.build(crash_model, seed=crash_seed))
         self.retry_policy = retry_policy
-        self.partition_model = build_partition_model(partition_model, seed=partition_seed)
+        self.partition_model = active(
+            PartitionModel.build(partition_model, seed=partition_seed)
+        )
         self.lease_timeout = lease_timeout
         self.validation = build_validator(validation)
-        self.corruption_model = build_corruption_model(
-            corruption_model, seed=corruption_seed
+        self.corruption_model = active(
+            CorruptionModel.build(corruption_model, seed=corruption_seed)
         )
         if isinstance(event_log, (str, os.PathLike)):
             event_log = EventLog(event_log)
@@ -385,43 +386,24 @@ class TuningLoop:
         self._active_state: Optional[_AsyncRunState] = None
         self._resume_state: Optional[_AsyncRunState] = None
         self._probe_armed = False
-        fault_active = self.fault_model is not None and not self.fault_model.is_null
-        if fault_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active fault model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
-            )
-        if self.speculation is not None and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "speculative re-execution requires batch_size >= 2 "
-                "(duplicates race on otherwise-idle workers)"
-            )
-        crash_active = self.crash_model is not None and not self.crash_model.is_null
-        if crash_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active crash model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
-            )
-        partition_active = (
-            self.partition_model is not None and not self.partition_model.is_null
-        )
-        if partition_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active partition model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
-            )
-        corruption_active = (
-            self.corruption_model is not None and not self.corruption_model.is_null
-        )
-        if corruption_active and (batch_size is None or batch_size < 2):
-            raise ValueError(
-                "an active corruption model requires batch_size >= 2: the "
-                "sequential and lockstep paths are the bit-for-bit "
-                "equivalence gates and stay uninjected"
-            )
+        if batch_size is None or batch_size < 2:
+            for injector in (
+                self.fault_model,
+                self.crash_model,
+                self.partition_model,
+                self.corruption_model,
+            ):
+                if injector is not None:
+                    raise ValueError(
+                        f"an active {injector.domain} model requires batch_size >= 2: "
+                        "the sequential and lockstep paths are the bit-for-bit "
+                        "equivalence gates and stay uninjected"
+                    )
+            if self.speculation is not None:
+                raise ValueError(
+                    "speculative re-execution requires batch_size >= 2 "
+                    "(duplicates race on otherwise-idle workers)"
+                )
         if lease_timeout is not None and batch_size is None:
             raise ValueError(
                 "liveness leases live on the asynchronous engine; set batch_size"
@@ -563,9 +545,6 @@ class TuningLoop:
                 optimizer.metrics = self.metrics
         return _AsyncRunState(engine=engine, batch_size=batch_size, lockstep=lockstep)
 
-    def _crash_active(self) -> bool:
-        return self.crash_model is not None and not self.crash_model.is_null
-
     def _handle_report(self, state: _AsyncRunState, report: IterationReport) -> None:
         workload = self.sampler.execution.workload
         report.details.setdefault("objective_unit", workload.objective.unit)
@@ -577,7 +556,7 @@ class TuningLoop:
 
     def _drive_async(self, state: _AsyncRunState) -> TuningResult:
         engine = state.engine
-        crash_active = self._crash_active()
+        crash_active = self.crash_model is not None
         if engine.speculation is not None or (
             crash_active and engine.retry_policy is not None
         ):

@@ -13,24 +13,17 @@ exhausts its budget surfaces as the paper's crash-penalty sample, exactly
 like the fail-stop path, so the optimizer always receives exactly one
 finite, in-domain result per slot.
 
-:class:`CorruptResultModel` is the matching fault injector: a seeded
-per-worker model (domain tag 19, same contract as the crash and partition
-models) that corrupts a configurable fraction of measured values into NaN,
-infinity or wild out-of-domain readings — exercising the quarantine gate
-end to end.  The validator itself consumes no RNG and, on finite in-domain
+:class:`~repro.faults.corruption.CorruptResultModel` is the matching fault
+injector.  The validator itself consumes no RNG and, on finite in-domain
 values, changes nothing: enabling validation on a clean run is bit-for-bit
 inert.
 """
 
 from __future__ import annotations
 
-import abc
 import math
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -77,158 +70,3 @@ def build_validator(
     if spec is False or spec is None:
         return None
     return spec
-
-
-@dataclass(frozen=True)
-class CorruptionContext:
-    """The completed run a corruption decision is drawn for."""
-
-    worker_id: str
-    start_hours: float
-    duration_hours: float
-    speculative: bool = False
-
-
-@dataclass(frozen=True)
-class CorruptionDecision:
-    """What a corruption model decided for one measured value.
-
-    ``kind`` is one of ``"nan"``, ``"inf"``, ``"wild"``; :meth:`apply`
-    turns the true measurement into the corrupted reading.
-    """
-
-    corrupted: bool
-    kind: str = ""
-
-    #: Multiplier for ``"wild"`` corruption: far outside any plausible
-    #: objective domain, but still finite (only a bounded validator can
-    #: catch it — NaN/Inf are caught unconditionally).
-    WILD_FACTOR = 1e9
-
-    def apply(self, value: float) -> float:
-        if not self.corrupted:
-            return value
-        if self.kind == "nan":
-            return float("nan")
-        if self.kind == "inf":
-            return float("inf") if value >= 0 else float("-inf")
-        return value * self.WILD_FACTOR
-
-
-#: The shared "measurement is sound" decision (no per-call allocation).
-SOUND = CorruptionDecision(corrupted=False)
-
-
-class CorruptionModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the decision interface."""
-
-    name = "abstract"
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
-
-    @property
-    def is_null(self) -> bool:
-        """True when the model never corrupts and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private corruption-RNG stream (lazily derived).
-
-        Domain tag 19 (crash 13, partition 17, windowed faults 7): the same
-        master seed yields decorrelated streams across fault domains.
-        Channel 0 carries regular submissions, channel 1 speculative
-        duplicates.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), 19, channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: CorruptionContext) -> np.random.Generator:
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
-
-    @abc.abstractmethod
-    def decide(self, context: CorruptionContext) -> CorruptionDecision:
-        """Decide whether (and how) the measured value is corrupted."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
-
-
-class NoCorruptionModel(CorruptionModel):
-    """The ``"none"`` model: every measurement is sound, no RNG consumed."""
-
-    name = "none"
-
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def decide(self, context: CorruptionContext) -> CorruptionDecision:
-        return SOUND
-
-
-class CorruptResultModel(CorruptionModel):
-    """Seeded garbage injection: NaN, infinities, wild readings.
-
-    With probability ``rate`` a measured value is replaced: a third of the
-    hits each become NaN, signed infinity, or a wild (finite but absurd)
-    reading.  Two draws per decision, unconditionally, so the stream
-    position never depends on earlier outcomes.
-    """
-
-    name = "corrupt_result"
-
-    def __init__(self, seed: Optional[int] = None, rate: float = 0.05) -> None:
-        super().__init__(seed=seed)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self.rate = float(rate)
-
-    def decide(self, context: CorruptionContext) -> CorruptionDecision:
-        rng = self._stream(context)
-        hit = rng.random() < self.rate
-        mode = float(rng.random())
-        if not hit:
-            return SOUND
-        if mode < 1.0 / 3.0:
-            kind = "nan"
-        elif mode < 2.0 / 3.0:
-            kind = "inf"
-        else:
-            kind = "wild"
-        return CorruptionDecision(corrupted=True, kind=kind)
-
-
-#: Known model names for :func:`build_corruption_model` (aliases included).
-CORRUPTION_MODELS = {
-    "none": NoCorruptionModel,
-    "corrupt_result": CorruptResultModel,
-    "corrupt": CorruptResultModel,
-}
-
-
-def build_corruption_model(
-    spec: "CorruptionModel | str | None",
-    seed: Optional[int] = None,
-    **kwargs: Any,
-) -> Optional[CorruptionModel]:
-    """Instantiate a corruption model by name; instances/None pass through."""
-    if spec is None or isinstance(spec, CorruptionModel):
-        return spec
-    name = str(spec).lower()
-    if name not in CORRUPTION_MODELS:
-        raise KeyError(
-            f"unknown corruption model {spec!r}; known: {sorted(CORRUPTION_MODELS)}"
-        )
-    cls = CORRUPTION_MODELS[name]
-    if cls is NoCorruptionModel:
-        return NoCorruptionModel()
-    return cls(seed=seed, **kwargs)

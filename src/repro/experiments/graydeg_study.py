@@ -32,10 +32,11 @@ from repro.core.async_engine import RetryPolicy
 from repro.core.execution import ExecutionEngine
 from repro.core.samplers import TunaSampler
 from repro.core.tuner import TuningLoop, TuningResult
-from repro.core.validation import CorruptResultModel, ResultValidator
+from repro.core.validation import ResultValidator
 from repro.faults import (
-    CompositePartitionModel,
-    PartitionModel,
+    CompositeInjector,
+    CorruptResultModel,
+    PartitionDecision,
     PartitionOutageModel,
     StallModel,
 )
@@ -84,8 +85,8 @@ DEFAULT_GRAY_REGIME: Dict = {
 }
 
 
-def _build_partition_model(seed: int, regime: Dict) -> PartitionModel:
-    return CompositePartitionModel(
+def _build_partition_model(seed: int, regime: Dict) -> CompositeInjector[PartitionDecision]:
+    return CompositeInjector(
         [
             StallModel(
                 seed=seed,

@@ -28,7 +28,7 @@ from repro.core.async_engine import RetryPolicy
 from repro.core.execution import ExecutionEngine
 from repro.core.samplers import TunaSampler
 from repro.core.tuner import TuningLoop, TuningResult
-from repro.faults import build_crash_model
+from repro.faults import CrashModel
 from repro.optimizers import build_optimizer
 from repro.systems import get_system
 from repro.workloads import get_workload
@@ -88,7 +88,7 @@ def _run_arm(
     # face the same crash *process*; trajectories diverge only once a
     # failure changes the submission sequence.
     crash_model = (
-        build_crash_model(crash, seed=seed, **crash_kwargs) if crash else None
+        CrashModel.build(crash, seed=seed, **crash_kwargs) if crash else None
     )
     result = TuningLoop(
         sampler,

@@ -24,7 +24,7 @@ from repro.cloud.cluster import Cluster
 from repro.core.execution import ExecutionEngine
 from repro.core.samplers import TunaSampler
 from repro.core.tuner import TuningLoop, TuningResult
-from repro.faults import SpeculationPolicy, build_fault_model
+from repro.faults import FaultModel, SpeculationPolicy
 from repro.optimizers import build_optimizer
 from repro.systems import get_system
 from repro.workloads import get_workload
@@ -82,7 +82,7 @@ def _run_arm(
     # Each arm gets a freshly built model with the same master seed, so both
     # arms face the same fault *process*; trajectories diverge only once the
     # mitigation changes the submission sequence.
-    fault_model = build_fault_model(fault, seed=seed, **fault_kwargs)
+    fault_model = FaultModel.build(fault, seed=seed, **fault_kwargs)
     result = TuningLoop(
         sampler,
         max_samples=max_samples,

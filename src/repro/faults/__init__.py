@@ -1,68 +1,69 @@
-"""Stochastic interference & straggler fault injection.
+"""Seeded fault injection & straggler mitigation.
 
 The event loop of :mod:`repro.core.async_engine` is deterministic by design:
 every sample's duration comes straight from its worker's SKU
 ``perf_factor``.  Real clouds are not like that — the whole premise of the
-source paper is that tuning must survive performance *noise* — so this
-subsystem supplies pluggable stochastic duration models the event loop
-consults when computing each work item's finish time, plus the straggler
-machinery (quantile detection, speculative re-execution policy) the
-execution engine uses to mitigate them.
+source paper is that tuning must survive performance *noise* and unstable
+nodes — so this subsystem injects four *domains* of seeded faults through
+one contract, :class:`~repro.faults.injector.Injector`:
 
-Guarantees:
+* **fault** (:mod:`repro.faults.models`) — duration stretches: heavy tails,
+  load-coupled interference bursts, brownouts;
+* **crash** (:mod:`repro.faults.crash`) — fail-stop failures: transient
+  mid-run errors, permanent node death;
+* **partition** (:mod:`repro.faults.partition`) — gray-failure silence:
+  stalls, partitions, flaky reconnects delay reports instead of killing
+  runs;
+* **corruption** (:mod:`repro.faults.corruption`) — garbage measurements:
+  NaN, infinities, wild readings.
 
-* **Equivalence** — with the ``"none"`` model (or no model at all) every
-  trajectory is bit-for-bit identical to an uninjected run: no RNG is
-  consumed, no arithmetic changes.
-* **Reproducibility** — every model draws from seeded *per-worker* RNG
-  streams (spawned from one master seed keyed by worker id), so a fixed
-  seed and submission sequence yield identical stretches regardless of how
+Every domain builds models the same way, ``CrashModel.build("transient",
+seed=7, rate=0.08)``; instances and ``None`` pass through, unknown names
+raise ``KeyError``.  :class:`CompositeInjector` stacks models of one domain,
+and :mod:`repro.faults.straggler` supplies the detection/speculation policy
+the execution engine uses to mitigate stragglers.
+
+Guarantees, in every domain:
+
+* **Equivalence** — the ``"none"`` model (or no model at all) is
+  bit-for-bit identical to an uninjected run: no RNG is consumed, no
+  arithmetic changes.
+* **Reproducibility** — every model draws from seeded *per-worker* streams
+  derived from ``[seed, crc32(worker), *domain tag, channel]``, so a fixed
+  seed and submission sequence yield identical decisions regardless of how
   many workers exist or in which order they are queried.
-
-See :mod:`repro.faults.models` for the duration models,
-:mod:`repro.faults.straggler` for detection/speculation,
-:mod:`repro.faults.crash` for fail-stop crash injection (transient mid-run
-errors, permanent node death), and :mod:`repro.faults.partition` for
-gray-failure silence injection (stalls, partitions, flaky reconnects —
-reports delayed instead of runs killed) — the same two guarantees hold in
-each, with the ``"none"`` model as the no-RNG equivalence anchor.
 """
 
+from repro.faults.corruption import (
+    CorruptionDecision,
+    CorruptionModel,
+    CorruptResultModel,
+    NoCorruptionModel,
+)
 from repro.faults.crash import (
-    CRASH_MODELS,
-    CompositeCrashModel,
-    CrashContext,
     CrashDecision,
     CrashModel,
     CrashStats,
     NoCrashModel,
     NodeDeathModel,
     TransientCrashModel,
-    build_crash_model,
 )
+from repro.faults.injector import CompositeInjector, InjectionContext, Injector, active
 from repro.faults.models import (
-    FAULT_MODELS,
     BrownoutModel,
-    CompositeFaultModel,
-    FaultContext,
     FaultModel,
     InterferenceBurstModel,
     LognormalTailModel,
     NoFaultModel,
-    build_fault_model,
 )
 from repro.faults.partition import (
-    PARTITION_MODELS,
-    CompositePartitionModel,
     FlakyReconnectModel,
     NoPartitionModel,
-    PartitionContext,
     PartitionDecision,
     PartitionModel,
     PartitionOutageModel,
     PartitionStats,
     StallModel,
-    build_partition_model,
 )
 from repro.faults.straggler import (
     SpeculationPolicy,
@@ -71,27 +72,25 @@ from repro.faults.straggler import (
 )
 
 __all__ = [
-    "CRASH_MODELS",
-    "FAULT_MODELS",
-    "PARTITION_MODELS",
     "BrownoutModel",
-    "CompositeCrashModel",
-    "CompositeFaultModel",
-    "CompositePartitionModel",
-    "CrashContext",
+    "CompositeInjector",
+    "CorruptResultModel",
+    "CorruptionDecision",
+    "CorruptionModel",
     "CrashDecision",
     "CrashModel",
     "CrashStats",
-    "FaultContext",
     "FaultModel",
     "FlakyReconnectModel",
+    "InjectionContext",
+    "Injector",
     "InterferenceBurstModel",
     "LognormalTailModel",
+    "NoCorruptionModel",
     "NoCrashModel",
     "NodeDeathModel",
     "NoFaultModel",
     "NoPartitionModel",
-    "PartitionContext",
     "PartitionDecision",
     "PartitionModel",
     "PartitionOutageModel",
@@ -101,7 +100,5 @@ __all__ = [
     "StallModel",
     "StragglerDetector",
     "TransientCrashModel",
-    "build_crash_model",
-    "build_fault_model",
-    "build_partition_model",
+    "active",
 ]

@@ -12,48 +12,19 @@ failure exactly when a real cluster's monitor would, and the recovery
 machinery (retry with backoff, rerouting, crash-penalty surfacing) lives in
 :class:`~repro.core.async_engine.AsyncExecutionEngine`.
 
-Determinism contract
---------------------
-Same discipline as the duration models: each model owns independent seeded
-RNG streams **per worker** (speculative duplicates on a separate channel),
-consumed a fixed number of times per decision regardless of the branch
-taken, so a fixed seed reproduces the crash trace exactly and mitigation
-never perturbs the draws regular submissions would have seen.
-:class:`NoCrashModel` consumes no randomness at all — injecting it is
-guaranteed to reproduce uninjected trajectories bit-for-bit.
+Streams follow the shared :class:`~repro.faults.injector.Injector`
+contract under domain tag 13, with a fixed number of draws per decision
+regardless of the branch taken, so a fixed seed reproduces the crash trace
+exactly.
 """
 
 from __future__ import annotations
 
-import abc
 import math
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-
-@dataclass(frozen=True)
-class CrashContext:
-    """The scheduled window a crash decision is drawn for.
-
-    ``duration_hours`` is the item's *scheduled* duration — after any
-    duration-model stretch — so hazard models see the same exposure window
-    the event loop does.  ``speculative`` marks a straggler-mitigation
-    duplicate; models draw those from a separate per-worker channel, exactly
-    like the duration models, so arming speculation never shifts the crash
-    trace of regular work.
-    """
-
-    worker_id: str
-    start_hours: float
-    duration_hours: float
-    speculative: bool = False
-
-    @property
-    def finish_hours(self) -> float:
-        return self.start_hours + self.duration_hours
+from repro.faults.injector import InjectionContext, Injector, register
 
 
 @dataclass(frozen=True)
@@ -76,47 +47,22 @@ class CrashDecision:
 SURVIVES = CrashDecision(failed=False)
 
 
-class CrashModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the decision interface."""
+class CrashModel(Injector[CrashDecision]):
+    """Domain base: decides whether (and when) a submitted run fails.
 
-    name = "abstract"
+    ``context.duration_hours`` is the item's *scheduled* duration, after any
+    duration-model stretch, so hazards see the window the event loop
+    simulates.  Several hazards combine to the earliest failure.
+    """
 
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
+    domain = "crash"
+    tag = (13,)
 
-    @property
-    def is_null(self) -> bool:
-        """True when the model never fails anything and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private crash-RNG stream (lazily derived, order-stable).
-
-        The entropy mixes the master seed, a stable hash of the worker id,
-        a crash-domain tag (so a crash model and a duration model built from
-        the same master seed stay decorrelated) and the channel: channel 0
-        carries regular submissions, channel 1 speculative duplicates.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), 13, channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: CrashContext) -> np.random.Generator:
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
-
-    @abc.abstractmethod
-    def decide(self, context: CrashContext) -> CrashDecision:
-        """Decide whether (and when) the submitted run fails."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
+    def combine(self, decisions: Sequence[CrashDecision]) -> CrashDecision:
+        failed = [d for d in decisions if d.failed]
+        if not failed:
+            return SURVIVES
+        return min(failed, key=lambda d: d.fail_at_hours)
 
 
 class NoCrashModel(CrashModel):
@@ -128,12 +74,9 @@ class NoCrashModel(CrashModel):
     """
 
     name = "none"
+    null = True
 
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def decide(self, context: CrashContext) -> CrashDecision:
+    def decide(self, context: InjectionContext) -> CrashDecision:
         return SURVIVES
 
 
@@ -156,7 +99,7 @@ class TransientCrashModel(CrashModel):
             raise ValueError("rate must be in [0, 1]")
         self.rate = float(rate)
 
-    def decide(self, context: CrashContext) -> CrashDecision:
+    def decide(self, context: InjectionContext) -> CrashDecision:
         rng = self._stream(context)
         hit = rng.random() < self.rate
         fraction = float(rng.random())
@@ -186,6 +129,7 @@ class NodeDeathModel(CrashModel):
     """
 
     name = "node-death"
+    aliases = ("weibull", "mtbf")
 
     def __init__(
         self,
@@ -215,7 +159,7 @@ class NodeDeathModel(CrashModel):
             self._death_at[worker_id] = death
         return death
 
-    def decide(self, context: CrashContext) -> CrashDecision:
+    def decide(self, context: InjectionContext) -> CrashDecision:
         death = self.death_time(context.worker_id)
         if context.finish_hours <= death:
             return SURVIVES
@@ -225,31 +169,6 @@ class NodeDeathModel(CrashModel):
             worker_dead=True,
             kind="node-death",
         )
-
-
-class CompositeCrashModel(CrashModel):
-    """Several crash hazards at once: the earliest failure wins."""
-
-    name = "composite"
-
-    def __init__(self, models: Sequence[CrashModel]) -> None:
-        if not models:
-            raise ValueError("composite needs at least one model")
-        super().__init__(seed=0)
-        self.models = list(models)
-
-    @property
-    def is_null(self) -> bool:
-        return all(model.is_null for model in self.models)
-
-    def decide(self, context: CrashContext) -> CrashDecision:
-        # Every member model draws unconditionally (fixed stream positions);
-        # among the failures, the earliest instant decides the outcome.
-        decisions = [model.decide(context) for model in self.models]
-        failed = [d for d in decisions if d.failed]
-        if not failed:
-            return SURVIVES
-        return min(failed, key=lambda d: d.fail_at_hours)
 
 
 @dataclass
@@ -276,36 +195,4 @@ class CrashStats:
         }
 
 
-#: Known model names for :func:`build_crash_model` (aliases included).
-CRASH_MODELS = {
-    "none": NoCrashModel,
-    "transient": TransientCrashModel,
-    "node-death": NodeDeathModel,
-    "weibull": NodeDeathModel,
-    "mtbf": NodeDeathModel,
-}
-
-
-def build_crash_model(
-    spec: "CrashModel | str | None",
-    seed: Optional[int] = None,
-    **kwargs: Any,
-) -> Optional[CrashModel]:
-    """Instantiate a crash model by name; instances and ``None`` pass through.
-
-    ``"none"`` returns a :class:`NoCrashModel` (injected, but guaranteed to
-    change nothing); ``None`` returns ``None`` (nothing injected at all) —
-    behaviourally identical by construction, mirroring
-    :func:`~repro.faults.models.build_fault_model`.
-    """
-    if spec is None or isinstance(spec, CrashModel):
-        return spec
-    name = str(spec).lower()
-    if name not in CRASH_MODELS:
-        raise KeyError(
-            f"unknown crash model {spec!r}; known: {sorted(CRASH_MODELS)}"
-        )
-    cls = CRASH_MODELS[name]
-    if cls is NoCrashModel:
-        return NoCrashModel()
-    return cls(seed=seed, **kwargs)
+register(NoCrashModel, TransientCrashModel, NodeDeathModel)

@@ -1,4 +1,4 @@
-"""Pluggable stochastic duration models (runtime-variability injection).
+"""Pluggable stochastic duration models (the *fault* injection domain).
 
 A :class:`FaultModel` turns a work item's deterministic base duration into a
 stochastic one by returning a multiplicative *stretch* factor for the
@@ -7,93 +7,48 @@ submission.  The event loop multiplies the base duration by the stretch, so
 ``stretch == 1.0`` leaves the finish time bit-for-bit unchanged (IEEE-754
 multiplication by 1.0 is exact).
 
-Determinism contract
---------------------
-Each model owns one independent RNG stream **per worker**, derived from the
-master seed and a stable hash of the worker id.  A worker's stream is
-consumed once per submission on that worker, in submission order — which the
-event loop fixes — so a fixed seed reproduces a run exactly, and adding or
-removing *other* workers never perturbs a worker's own draw sequence.
-:class:`NoFaultModel` consumes no randomness at all, which is what makes the
-``"none"`` equivalence guarantee trivial to audit.
+Streams follow the shared :class:`~repro.faults.injector.Injector`
+contract with an empty domain tag: a worker's stream is consumed once per
+submission on that worker, in the submission order the event loop fixes.
 """
 
 from __future__ import annotations
 
 import abc
-import zlib
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.faults.injector import InjectionContext, Injector, register
 
-@dataclass(frozen=True)
-class FaultContext:
-    """Everything a fault model may condition a stretch draw on.
+#: Entropy word of the windowed RNG (environment episodes, not stream order).
+WINDOW_TAG = 7
 
-    ``concurrent_items`` is the number of other work items in flight across
-    the cluster at submission time — the co-located load that drives the
-    interference-burst model; ``n_workers`` normalises it to an occupancy
-    fraction.  ``speculative`` marks a straggler-mitigation duplicate:
-    models draw those from a separate per-worker channel so that launching
-    a duplicate never shifts the fault trace the *regular* submissions on
-    that worker would have seen — speculation on/off comparisons stay
-    paired run-for-run.
+
+class FaultModel(Injector[float]):
+    """Domain base: the decision is a duration stretch, combined by product.
+
+    Subclasses implement :meth:`stretch`; the composite and the event loop
+    call :meth:`decide`, which forwards to it.
     """
 
-    worker_id: str
-    start_hours: float
-    duration_hours: float
-    concurrent_items: int = 0
-    n_workers: int = 1
-    speculative: bool = False
+    domain = "fault"
 
-    @property
-    def occupancy(self) -> float:
-        """Fraction of the cluster busy with other items at submission."""
-        return self.concurrent_items / max(self.n_workers, 1)
+    def decide(self, context: InjectionContext) -> float:
+        return self.stretch(context)
 
+    @abc.abstractmethod
+    def stretch(self, context: InjectionContext) -> float:
+        """Multiplicative duration stretch (>= some small positive bound)."""
 
-class FaultModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the stretch interface."""
-
-    name = "abstract"
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
-
-    @property
-    def is_null(self) -> bool:
-        """True when the model never stretches and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private RNG stream (lazily derived, order-stable).
-
-        The stream seed mixes the master seed, a stable hash of the worker
-        id and the channel, so it depends neither on how many workers exist
-        nor on first-query order.  Channel 0 carries regular submissions;
-        channel 1 carries speculative duplicates, so mitigation never
-        perturbs the fault trace regular work would have drawn.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: FaultContext) -> np.random.Generator:
-        """The stream a draw for this submission should come from."""
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
+    def combine(self, decisions: Sequence[float]) -> float:
+        factor = 1.0
+        for stretch in decisions:
+            factor *= stretch
+        return factor
 
     def _window_rng(
-        self, context: FaultContext, window_hours: float
+        self, context: InjectionContext, window_hours: float
     ) -> np.random.Generator:
         """A throwaway RNG pinned to the submission's ``(worker, window)``.
 
@@ -105,17 +60,7 @@ class FaultModel(abc.ABC):
         lands where.
         """
         window = int(context.start_hours // window_hours)
-        entropy = np.random.SeedSequence(
-            [self._seed, zlib.crc32(context.worker_id.encode("utf-8")), 7, window]
-        )
-        return np.random.default_rng(entropy)
-
-    @abc.abstractmethod
-    def stretch(self, context: FaultContext) -> float:
-        """Multiplicative duration stretch (>= some small positive bound)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
+        return self._derive(context.worker_id, WINDOW_TAG, window)
 
 
 class NoFaultModel(FaultModel):
@@ -126,12 +71,9 @@ class NoFaultModel(FaultModel):
     """
 
     name = "none"
+    null = True
 
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def stretch(self, context: FaultContext) -> float:
+    def stretch(self, context: InjectionContext) -> float:
         return 1.0
 
 
@@ -154,6 +96,7 @@ class LognormalTailModel(FaultModel):
     """
 
     name = "lognormal"
+    aliases = ("heavy-tail",)
 
     def __init__(
         self,
@@ -177,7 +120,7 @@ class LognormalTailModel(FaultModel):
         self.max_stretch = float(max_stretch)
         self.window_hours = window_hours
 
-    def stretch(self, context: FaultContext) -> float:
+    def stretch(self, context: InjectionContext) -> float:
         if self.window_hours is not None:
             rng = self._window_rng(context, self.window_hours)
         else:
@@ -221,7 +164,7 @@ class InterferenceBurstModel(FaultModel):
         self.magnitude = float(magnitude)
         self.max_extra = float(max_extra)
 
-    def stretch(self, context: FaultContext) -> float:
+    def stretch(self, context: InjectionContext) -> float:
         rng = self._stream(context)
         probability = min(
             0.95, self.base_rate * (1.0 + self.coupling * context.occupancy)
@@ -266,7 +209,7 @@ class BrownoutModel(FaultModel):
         # worker id -> [browned_out, next_transition_hours]
         self._state: Dict[str, list] = {}
 
-    def stretch(self, context: FaultContext) -> float:
+    def stretch(self, context: InjectionContext) -> float:
         # The brownout state is a property of the *worker*, shared by
         # regular and speculative runs alike; evolution is a pure function
         # of query time (queries are monotone per worker), so speculative
@@ -290,57 +233,4 @@ class BrownoutModel(FaultModel):
         return bool(state[0]) if state is not None else False
 
 
-class CompositeFaultModel(FaultModel):
-    """Product of several fault models (e.g. heavy tail on top of brownouts)."""
-
-    name = "composite"
-
-    def __init__(self, models: Sequence[FaultModel]) -> None:
-        if not models:
-            raise ValueError("composite needs at least one model")
-        super().__init__(seed=0)
-        self.models = list(models)
-
-    @property
-    def is_null(self) -> bool:
-        return all(model.is_null for model in self.models)
-
-    def stretch(self, context: FaultContext) -> float:
-        factor = 1.0
-        for model in self.models:
-            factor *= model.stretch(context)
-        return factor
-
-
-#: Known model names for :func:`build_fault_model` (aliases included).
-FAULT_MODELS = {
-    "none": NoFaultModel,
-    "lognormal": LognormalTailModel,
-    "heavy-tail": LognormalTailModel,
-    "interference": InterferenceBurstModel,
-    "brownout": BrownoutModel,
-}
-
-
-def build_fault_model(
-    spec: "FaultModel | str | None",
-    seed: Optional[int] = None,
-    **kwargs: Any,
-) -> Optional[FaultModel]:
-    """Instantiate a fault model by name; instances and ``None`` pass through.
-
-    ``"none"`` returns a :class:`NoFaultModel` (injected, but guaranteed to
-    change nothing); ``None`` returns ``None`` (nothing injected at all) —
-    the two are behaviourally identical by construction.
-    """
-    if spec is None or isinstance(spec, FaultModel):
-        return spec
-    name = str(spec).lower()
-    if name not in FAULT_MODELS:
-        raise KeyError(
-            f"unknown fault model {spec!r}; known: {sorted(FAULT_MODELS)}"
-        )
-    cls = FAULT_MODELS[name]
-    if cls is NoFaultModel:
-        return NoFaultModel()
-    return cls(seed=seed, **kwargs)
+register(NoFaultModel, LognormalTailModel, InterferenceBurstModel, BrownoutModel)

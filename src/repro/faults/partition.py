@@ -30,48 +30,17 @@ Three hazard shapes:
   small repeated delays that jitter observation order without (normally)
   tripping any lease.
 
-Determinism contract
---------------------
-Identical to the crash models: independent seeded RNG streams **per
-worker** (speculative duplicates on channel 1), domain tag 17 so a
-partition model built from the same master seed as a crash/duration model
-stays decorrelated, a fixed number of draws per decision regardless of the
-branch taken, and a :class:`NoPartitionModel` that consumes no randomness
-at all — injecting ``"none"`` reproduces uninjected trajectories
-bit-for-bit.
+Streams follow the shared :class:`~repro.faults.injector.Injector`
+contract under domain tag 17, with a fixed number of draws per decision
+regardless of the branch taken.
 """
 
 from __future__ import annotations
 
-import abc
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-
-@dataclass(frozen=True)
-class PartitionContext:
-    """The scheduled window a partition decision is drawn for.
-
-    ``duration_hours`` is the item's *final* scheduled duration — after any
-    duration-model stretch, and up to the failure instant for an item a
-    crash model already killed — so silence onsets land inside the window
-    the event loop actually simulates.  ``speculative`` duplicates draw
-    from a separate per-worker channel, exactly like the other fault
-    domains, so arming speculation never shifts the partition trace of
-    regular work.
-    """
-
-    worker_id: str
-    start_hours: float
-    duration_hours: float
-    speculative: bool = False
-
-    @property
-    def finish_hours(self) -> float:
-        return self.start_hours + self.duration_hours
+from repro.faults.injector import InjectionContext, Injector, register
 
 
 @dataclass(frozen=True)
@@ -96,48 +65,25 @@ class PartitionDecision:
 RESPONSIVE = PartitionDecision(delayed=False)
 
 
-class PartitionModel(abc.ABC):
-    """Base class: seeded per-worker RNG streams + the decision interface."""
+class PartitionModel(Injector[PartitionDecision]):
+    """Domain base: decides whether (and how) a run's report is delayed.
 
-    name = "abstract"
+    ``context.duration_hours`` is the item's *final* scheduled duration —
+    after any stretch, and up to the failure instant for an item a crash
+    model already killed — so silence onsets land inside the window the
+    event loop simulates.  Several hazards combine to the longest delay:
+    overlapping outages do not add, the worker is simply unreachable until
+    the last one heals (ties break on member order).
+    """
 
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-        self._streams: Dict[Tuple[str, int], np.random.Generator] = {}
+    domain = "partition"
+    tag = (17,)
 
-    @property
-    def is_null(self) -> bool:
-        """True when the model never delays anything and never consumes RNG."""
-        return False
-
-    def stream_for(self, worker_id: str, channel: int = 0) -> np.random.Generator:
-        """A worker's private partition-RNG stream (lazily derived).
-
-        The entropy mixes the master seed, a stable hash of the worker id,
-        the partition-domain tag 17 (crash models use 13, windowed duration
-        faults 7 — same master seed, decorrelated streams) and the channel:
-        channel 0 carries regular submissions, channel 1 speculative
-        duplicates.
-        """
-        key = (worker_id, channel)
-        stream = self._streams.get(key)
-        if stream is None:
-            entropy = np.random.SeedSequence(
-                [self._seed, zlib.crc32(worker_id.encode("utf-8")), 17, channel]
-            )
-            stream = np.random.default_rng(entropy)
-            self._streams[key] = stream
-        return stream
-
-    def _stream(self, context: PartitionContext) -> np.random.Generator:
-        return self.stream_for(context.worker_id, 1 if context.speculative else 0)
-
-    @abc.abstractmethod
-    def decide(self, context: PartitionContext) -> PartitionDecision:
-        """Decide whether (and how) the submitted run's report is delayed."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(seed={self._seed})"
+    def combine(self, decisions: Sequence[PartitionDecision]) -> PartitionDecision:
+        delayed = [d for d in decisions if d.delayed]
+        if not delayed:
+            return RESPONSIVE
+        return max(delayed, key=lambda d: d.delay_hours)
 
 
 class NoPartitionModel(PartitionModel):
@@ -149,12 +95,9 @@ class NoPartitionModel(PartitionModel):
     """
 
     name = "none"
+    null = True
 
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def decide(self, context: PartitionContext) -> PartitionDecision:
+    def decide(self, context: InjectionContext) -> PartitionDecision:
         return RESPONSIVE
 
 
@@ -185,7 +128,7 @@ class StallModel(PartitionModel):
         self.rate = float(rate)
         self.mean_stall_hours = float(mean_stall_hours)
 
-    def decide(self, context: PartitionContext) -> PartitionDecision:
+    def decide(self, context: InjectionContext) -> PartitionDecision:
         rng = self._stream(context)
         hit = rng.random() < self.rate
         delay = float(rng.exponential(self.mean_stall_hours))
@@ -211,6 +154,7 @@ class PartitionOutageModel(PartitionModel):
     """
 
     name = "partition"
+    aliases = ("outage",)
 
     def __init__(
         self,
@@ -226,7 +170,7 @@ class PartitionOutageModel(PartitionModel):
         self.rate = float(rate)
         self.mean_outage_hours = float(mean_outage_hours)
 
-    def decide(self, context: PartitionContext) -> PartitionDecision:
+    def decide(self, context: InjectionContext) -> PartitionDecision:
         rng = self._stream(context)
         hit = rng.random() < self.rate
         delay = float(rng.exponential(self.mean_outage_hours))
@@ -253,6 +197,7 @@ class FlakyReconnectModel(PartitionModel):
     """
 
     name = "flaky"
+    aliases = ("reconnect",)
 
     def __init__(
         self,
@@ -272,7 +217,7 @@ class FlakyReconnectModel(PartitionModel):
         self.blip_hours = float(blip_hours)
         self.max_blips = int(max_blips)
 
-    def decide(self, context: PartitionContext) -> PartitionDecision:
+    def decide(self, context: InjectionContext) -> PartitionDecision:
         rng = self._stream(context)
         hit = rng.random() < self.rate
         n_blips = int(rng.integers(1, self.max_blips + 1))
@@ -285,35 +230,6 @@ class FlakyReconnectModel(PartitionModel):
             silent_fraction=1.0,
             kind="flaky",
         )
-
-
-class CompositePartitionModel(PartitionModel):
-    """Several silence hazards at once: the longest silence dominates.
-
-    Every member model draws unconditionally (fixed stream positions);
-    among the delayed decisions the one with the largest delay wins —
-    overlapping outages do not add, the worker is simply unreachable until
-    the last one heals.  Ties break on member order (deterministic).
-    """
-
-    name = "composite"
-
-    def __init__(self, models: Sequence[PartitionModel]) -> None:
-        if not models:
-            raise ValueError("composite needs at least one model")
-        super().__init__(seed=0)
-        self.models = list(models)
-
-    @property
-    def is_null(self) -> bool:
-        return all(model.is_null for model in self.models)
-
-    def decide(self, context: PartitionContext) -> PartitionDecision:
-        decisions = [model.decide(context) for model in self.models]
-        delayed = [d for d in decisions if d.delayed]
-        if not delayed:
-            return RESPONSIVE
-        return max(delayed, key=lambda d: d.delay_hours)
 
 
 @dataclass
@@ -346,37 +262,4 @@ class PartitionStats:
         }
 
 
-#: Known model names for :func:`build_partition_model` (aliases included).
-PARTITION_MODELS = {
-    "none": NoPartitionModel,
-    "stall": StallModel,
-    "partition": PartitionOutageModel,
-    "outage": PartitionOutageModel,
-    "flaky": FlakyReconnectModel,
-    "reconnect": FlakyReconnectModel,
-}
-
-
-def build_partition_model(
-    spec: "PartitionModel | str | None",
-    seed: Optional[int] = None,
-    **kwargs: Any,
-) -> Optional[PartitionModel]:
-    """Instantiate a partition model by name; instances/None pass through.
-
-    ``"none"`` returns a :class:`NoPartitionModel` (injected, but
-    guaranteed to change nothing); ``None`` returns ``None`` (nothing
-    injected at all) — behaviourally identical by construction, mirroring
-    :func:`~repro.faults.crash.build_crash_model`.
-    """
-    if spec is None or isinstance(spec, PartitionModel):
-        return spec
-    name = str(spec).lower()
-    if name not in PARTITION_MODELS:
-        raise KeyError(
-            f"unknown partition model {spec!r}; known: {sorted(PARTITION_MODELS)}"
-        )
-    cls = PARTITION_MODELS[name]
-    if cls is NoPartitionModel:
-        return NoPartitionModel()
-    return cls(seed=seed, **kwargs)
+register(NoPartitionModel, StallModel, PartitionOutageModel, FlakyReconnectModel)

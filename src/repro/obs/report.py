@@ -81,6 +81,7 @@ class RunReport:
             "engine.samples.crashed": float(
                 sum(1 for event in samples if event.get("crashed"))
             ),
+            "engine.retries.exhausted": float(kinds.count("exhausted")),
         }
         for event in events:
             if event.get("kind") == "fail":
@@ -150,7 +151,9 @@ class RunReport:
         self.retries = {
             "n_retries": float(len(attempts)),
             "max_attempt": float(max(attempts)),
-            "n_exhausted": self.counters.get("engine.samples.crashed", 0.0),
+            # Slots that ran out of retry budget; not ``samples.crashed``,
+            # which also counts configurations that crash inside the SuT.
+            "n_exhausted": self.counters["engine.retries.exhausted"],
         }
 
     def _build_regions(self, events: Sequence[Dict], closed: List[Span]) -> None:

@@ -59,8 +59,7 @@ def gray_kwargs():
     quarantines pending — and the resume has real gray state to restore.
     Built fresh per call because model instances carry RNG streams.
     """
-    from repro.core.validation import CorruptResultModel
-    from repro.faults import PartitionOutageModel
+    from repro.faults import CorruptResultModel, PartitionOutageModel
 
     return dict(
         partition_model=PartitionOutageModel(

@@ -1,11 +1,13 @@
 """Round-trip gate: offline reports agree with the live registry.
 
-A resilience-style seeded study (transient crashes + retries + speculation)
-runs once with a live registry, tracer and durable event log.  The report
-rebuilt offline from the log must agree with the live instruments field by
-field — same counter names, same counts — and the live tracer's spans must
-equal the spans rebuilt from the log.  The CLI is exercised end to end on
-the same log.
+Resilience-style seeded studies (transient crashes + retries + speculation)
+run once each with a live registry, tracer and durable event log: one on
+PostgreSQL, and one on Redis, whose out-of-memory configurations crash
+inside the SuT without touching the retry budget.  The report rebuilt
+offline from the log must agree with the live instruments field by field —
+same counter names, same counts — and the live tracer's spans must equal
+the spans rebuilt from the log.  The CLI is exercised end to end on the
+same logs.
 """
 
 import json
@@ -24,8 +26,8 @@ from repro.obs import MetricsRegistry, TraceRecorder, spans_from_events
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import RunReport, report_from_log
 from repro.optimizers import RandomSearchOptimizer
-from repro.systems import PostgreSQLSystem
-from repro.workloads import TPCC
+from repro.systems import PostgreSQLSystem, RedisSystem
+from repro.workloads import TPCC, YCSB_A
 
 SEED = 90
 
@@ -39,17 +41,27 @@ MATCHED_COUNTERS = (
     "engine.items.cancelled",
     "engine.samples.landed",
     "engine.samples.crashed",
+    "engine.retries.exhausted",
 )
 
 
-@pytest.fixture(scope="module")
-def study(tmp_path_factory):
+#: (system, workload) per study: PostgreSQL never crashes inside the SuT,
+#: Redis does (out-of-memory configurations).
+STUDIES = {
+    "postgres": (PostgreSQLSystem, TPCC),
+    "redis-sut-crash": (RedisSystem, YCSB_A),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STUDIES))
+def study(request, tmp_path_factory):
     """One resilience-style study: crashes, retries, speculation, full obs."""
+    system_cls, workload = STUDIES[request.param]
     tmp_path = tmp_path_factory.mktemp("obs_study")
     log = str(tmp_path / "events.jsonl")
-    system = PostgreSQLSystem()
+    system = system_cls()
     cluster = Cluster(n_workers=10, seed=SEED)
-    execution = ExecutionEngine(system, TPCC, seed=SEED)
+    execution = ExecutionEngine(system, workload, seed=SEED)
     opt = RandomSearchOptimizer(system.knob_space, seed=SEED)
     sampler = TunaSampler(opt, execution, cluster, seed=SEED)
     registry = MetricsRegistry()
@@ -69,6 +81,15 @@ def study(tmp_path_factory):
         tracer=tracer,
     )
     result = loop.run()
+    if request.param == "redis-sut-crash":
+        # Precondition: some configuration crashed inside the SuT, so the
+        # crashed-sample count differs from the exhausted-retry count.
+        sut_crashes = [
+            sample
+            for sample in sampler.datastore.all_samples()
+            if sample.crashed
+        ]
+        assert len(sut_crashes) > registry.counter_value("engine.retries.exhausted")
     return {
         "log": log,
         "registry": registry,
