@@ -18,10 +18,10 @@ supplies the missing machinery:
   worker's position in simulated time), and hands back fully completed
   requests.
 
-``lockstep=True`` reproduces the legacy sequential semantics exactly — one
+``lockstep=True`` is the traditional one-request-at-a-time semantics — one
 request in flight, the whole cluster advanced uniformly by the driver after
-each completion — which is the batch-size-1 equivalence gate: same seeds
-must yield bit-for-bit the same samples as the sequential loop.
+each completion.  It is what ``TuningLoop(batch_size=1)`` runs, and its
+trajectories are pinned bit-for-bit by the batch-size-1 equivalence gate.
 
 Runtime variability rides on top of this determinism: an optional
 :class:`~repro.faults.FaultModel` stretches each work item's duration when
@@ -353,7 +353,7 @@ class ClusterEventLoop:
             raise KeyError(f"worker {vm.vm_id!r} is not part of this cluster")
         worker_idx = self._workers.index_of(vm.vm_id)
         if self.lockstep:
-            # Legacy sequential semantics: every request starts at the global
+            # Lockstep semantics: every request starts at the global
             # clock; there is never more than one request in flight.
             start = self.now
         else:
@@ -1123,39 +1123,8 @@ class AsyncExecutionEngine:
                 item.sequence, item.finish_hours, "fail", fault=item.failure_kind
             )
         if item.speculative:
-            # A speculative duplicate died.  The slot usually still has its
-            # original (or sibling duplicates) racing — then the failure
-            # costs nothing but the duplicate.  If the original already
-            # failed and this was the last live copy, the slot is lost and
-            # enters recovery.
             self.crash_stats.n_speculative_failures += 1
-            request_id = self._request_id_of.pop(item.sequence)
-            original_seq = self._clone_of.pop(item.sequence)
-            siblings = self._clones_of.get(original_seq)
-            if siblings is not None and item.sequence in siblings:
-                siblings.remove(item.sequence)
-                if not siblings:
-                    self._clones_of.pop(original_seq, None)
-            if self._scheduler is not None:
-                self._scheduler.release([worker_id])  # engine-owned
-            if original_seq in self._failed_original and not self._clones_of.get(
-                original_seq
-            ):
-                attempts = self._failed_original.pop(original_seq)
-                self._forget_slot(original_seq)
-                return self._retry_or_exhaust(request_id, item, attempts)
-            return None
-        request_id = self._request_id_of.pop(item.sequence)
-        if item.retried and self._scheduler is not None:
-            self._scheduler.release([worker_id])  # engine-owned
-        attempts = self._attempts.pop(item.sequence, 0)
-        if self._clones_of.get(item.sequence):
-            # Speculative duplicates of this slot are still racing: no retry
-            # yet — whichever copy resolves last decides the slot.
-            self._failed_original[item.sequence] = attempts
-            self._flagged.discard(item.sequence)
-            return None
-        return self._retry_or_exhaust(request_id, item, attempts)
+        return self._lose_copy(item)
 
     # -- gray-failure handling -------------------------------------------------
     def _handle_suspicion(
@@ -1202,41 +1171,43 @@ class AsyncExecutionEngine:
             # Placement stops offering the silent worker new work until its
             # stale report drains (the zombie pop restores it).
             self._scheduler.suspend(worker_id)
+        return self._lose_copy(item, at_hours=suspected_at)
+
+    def _lose_copy(
+        self, item: WorkItem, at_hours: Optional[float] = None
+    ) -> Optional[Tuple[WorkRequest, List[Sample]]]:
+        """Drop one lost copy of a slot (failed or suspected) and decide it.
+
+        The slot usually still has another copy racing — its original or
+        sibling duplicates — and then losing this one costs nothing more: a
+        lost duplicate just disappears, a lost original leaves the slot to
+        whichever duplicate resolves last.  Only when no copy is left does
+        the slot enter recovery (:meth:`_retry_or_exhaust`, with
+        ``at_hours`` as the loss instant).
+        """
+        request_id = self._request_id_of.pop(item.sequence)
+        if (item.speculative or item.retried) and self._scheduler is not None:
+            self._scheduler.release([item.vm.vm_id])  # engine-owned
         if item.speculative:
-            # A suspected duplicate: the slot usually still has its original
-            # (or sibling duplicates) racing, so losing it costs nothing.
-            # If the original already failed and this was the last live
-            # copy, the slot is lost and enters recovery — exactly the
-            # failed-duplicate path.
-            request_id = self._request_id_of.pop(item.sequence)
             original_seq = self._clone_of.pop(item.sequence)
             siblings = self._clones_of.get(original_seq)
             if siblings is not None and item.sequence in siblings:
                 siblings.remove(item.sequence)
                 if not siblings:
                     self._clones_of.pop(original_seq, None)
-            if self._scheduler is not None:
-                self._scheduler.release([worker_id])  # engine-owned
-            if original_seq in self._failed_original and not self._clones_of.get(
+            if original_seq not in self._failed_original or self._clones_of.get(
                 original_seq
             ):
-                attempts = self._failed_original.pop(original_seq)
-                self._forget_slot(original_seq)
-                return self._retry_or_exhaust(
-                    request_id, item, attempts, at_hours=suspected_at
-                )
-            return None
-        request_id = self._request_id_of.pop(item.sequence)
-        if item.retried and self._scheduler is not None:
-            self._scheduler.release([worker_id])  # engine-owned
-        attempts = self._attempts.pop(item.sequence, 0)
-        if self._clones_of.get(item.sequence):
-            # Duplicates of the suspected slot are still racing: no retry
-            # yet — whichever copy resolves last decides the slot.
-            self._failed_original[item.sequence] = attempts
-            self._flagged.discard(item.sequence)
-            return None
-        return self._retry_or_exhaust(request_id, item, attempts, at_hours=suspected_at)
+                return None
+            attempts = self._failed_original.pop(original_seq)
+            self._forget_slot(original_seq)
+        else:
+            attempts = self._attempts.pop(item.sequence, 0)
+            if self._clones_of.get(item.sequence):
+                self._failed_original[item.sequence] = attempts
+                self._flagged.discard(item.sequence)
+                return None
+        return self._retry_or_exhaust(request_id, item, attempts, at_hours=at_hours)
 
     def _handle_zombie(self, item: WorkItem) -> None:
         """Reject the report of a fenced (stale-epoch) item at its pop.
@@ -1343,7 +1314,7 @@ class AsyncExecutionEngine:
         decided_at = failed_item.finish_hours if at_hours is None else at_hours
         policy = self.retry_policy
         if policy is not None and attempts < policy.max_retries:
-            vm = self._pick_retry_worker(request.config)
+            vm = self.loop.best_retry_worker(self._touched_workers(request.config))
             if vm is not None:
                 not_before = decided_at + policy.delay_hours(attempts)
                 item = self.loop.submit(
@@ -1393,19 +1364,14 @@ class AsyncExecutionEngine:
         )
         return self._land(request_id, sample)
 
-    def _pick_retry_worker(self, config: Configuration) -> Optional[VirtualMachine]:
-        """Best live worker the configuration has never touched.
-
-        Unlike speculative duplicates (which only launch on *idle* workers),
-        a retry may queue behind busy ones: a lost sample must be recovered
-        even on a saturated cluster, so the pick minimises the earliest
-        possible start instead of requiring idleness.  Deterministic and
-        RNG-free: (earliest start, fastest SKU, cluster position).
-        """
+    def _touched_workers(self, config: Configuration) -> Set[str]:
+        """Every worker the configuration already touched: running, failed
+        or cancelled copies, plus landed samples.  Retries and speculative
+        duplicates must go elsewhere."""
         excluded = set(self._config_workers.get(config, ()))
         if self._used_workers_fn is not None:
             excluded.update(self._used_workers_fn(config))
-        return self.loop.best_retry_worker(excluded)
+        return excluded
 
     # -- speculative re-execution ---------------------------------------------
     def _cancel_clones_of(self, original_seq: int, keep: Optional[int] = None) -> None:
@@ -1529,21 +1495,13 @@ class AsyncExecutionEngine:
                 return
             crossings.sort(key=lambda entry: (entry[0], entry[1]))
             progressed = False
-            for crossing, sequence, item in crossings:
+            for crossing, _, item in crossings:
                 next_finish = self.loop.peek_finish()
                 if next_finish is not None and crossing >= next_finish:
                     break  # a clone launched this pass moved the horizon
                 self.loop.advance_now(crossing)
-                if sequence not in self._flagged:
-                    self._flagged.add(sequence)
-                    self.stats.n_stragglers_detected += 1
-                    if self._metrics is not None:
-                        self._metrics.inc("engine.stragglers.detected")
-                clone_vm = self._pick_speculative_worker(item)
-                if clone_vm is None:
-                    continue  # nobody idle and eligible at the crossing
-                self._submit_clone(item, clone_vm)
-                progressed = True
+                if self._speculate(item):
+                    progressed = True
             if not progressed:
                 return
 
@@ -1571,17 +1529,23 @@ class AsyncExecutionEngine:
             if item.start_hours > now:
                 continue  # still queued behind other work, not running
             elapsed = self.execution.work_units(item.vm, now - item.start_hours)
-            if elapsed <= threshold:
-                continue
-            if sequence not in self._flagged:
-                self._flagged.add(sequence)
-                self.stats.n_stragglers_detected += 1
-                if self._metrics is not None:
-                    self._metrics.inc("engine.stragglers.detected")
-            clone_vm = self._pick_speculative_worker(item)
-            if clone_vm is None:
-                continue  # no idle eligible worker right now; retry later
-            self._submit_clone(item, clone_vm)
+            if elapsed > threshold:
+                self._speculate(item)
+
+    def _speculate(self, item: WorkItem) -> bool:
+        """Flag a straggler (counted once) and clone it onto an idle eligible
+        worker; returns whether a clone launched.  With nobody idle and
+        eligible right now, a later check retries."""
+        if item.sequence not in self._flagged:
+            self._flagged.add(item.sequence)
+            self.stats.n_stragglers_detected += 1
+            if self._metrics is not None:
+                self._metrics.inc("engine.stragglers.detected")
+        clone_vm = self._pick_speculative_worker(item)
+        if clone_vm is None:
+            return False
+        self._submit_clone(item, clone_vm)
+        return True
 
     def _pick_speculative_worker(self, item: WorkItem) -> Optional[VirtualMachine]:
         """Fastest idle worker the item's configuration has never touched.
@@ -1590,10 +1554,7 @@ class AsyncExecutionEngine:
         ``rank_speculative`` keeps the pick pluggable; otherwise the loop's
         per-group idle heaps answer it in O(log n) without a fleet scan.
         """
-        config = item.request.config
-        excluded = set(self._config_workers.get(config, ()))
-        if self._used_workers_fn is not None:
-            excluded.update(self._used_workers_fn(config))
+        excluded = self._touched_workers(item.request.config)
         if self._scheduler is not None:
             candidates = [
                 vm for vm in self.loop.idle_workers() if vm.vm_id not in excluded

@@ -57,10 +57,10 @@ class Sampler(abc.ABC):
     The unit of work is a :class:`~repro.core.async_engine.WorkRequest`:
     :meth:`propose_work` decides what to run next (ask the optimizer, pick
     nodes), :meth:`complete_work` consumes the finished samples (aggregate,
-    tell the optimizer).  The sequential :meth:`run_iteration` composes the
-    two around an inline evaluation; the asynchronous tuning loop instead
-    submits proposals to an event loop and feeds completions back as they
-    land, keeping several requests in flight at once.
+    tell the optimizer).  A sampler is a policy only: the tuning loop
+    submits its proposals to the execution engine and feeds completions
+    back as they land — one request at a time in lockstep mode, several in
+    flight at once with a larger batch.
     """
 
     name = "abstract"
@@ -110,14 +110,6 @@ class Sampler(abc.ABC):
         than one per landed result) override this.
         """
         return [self.complete_work(request, samples) for request, samples in completed]
-
-    def run_iteration(self, iteration: int) -> IterationReport:
-        """Evaluate one optimizer suggestion synchronously and report back."""
-        request = self.propose_work(iteration)
-        new_samples = self.execution.evaluate_on_many(
-            request.config, request.vms, iteration, request.budget
-        )
-        return self.complete_work(request, new_samples)
 
     @abc.abstractmethod
     def best_configuration(self) -> Tuple[Configuration, float]:

@@ -2,7 +2,7 @@
 
 Covers the discrete-event core (:class:`ClusterEventLoop`), the request-level
 engine (:class:`AsyncExecutionEngine`), the batch-size-1 equivalence gate
-(async lockstep mode must reproduce the sequential loop bit-for-bit), and the
+(lockstep mode must reproduce the recorded sequential trajectories), and the
 regression fixes that rode along: zero-sample promotion iterations cost no
 wall-clock, promotions are transactional, and deployment relative range uses
 the shared metric definition.
@@ -42,13 +42,6 @@ def make_setup(seed, optimizer="random", **smac_kwargs):
         kwargs.update(smac_kwargs)
         opt = SMACOptimizer(system.knob_space, seed=seed, **kwargs)
     return system, cluster, execution, opt
-
-
-def sample_trajectory(sampler):
-    return [
-        (s.worker_id, s.value, s.iteration, s.budget)
-        for s in sampler.datastore.all_samples()
-    ]
 
 
 class FixedOptimizer(Optimizer):
@@ -189,54 +182,34 @@ class TestAsyncExecutionEngine:
 
 
 class TestBatchOneEquivalence:
-    """The gate: batch-size-1 async mode ≡ the sequential loop, bit for bit."""
+    """The gate: batch-size-1 lockstep runs reproduce the recorded
+    sequential-driver trajectories (``golden/batch1.json``)."""
 
     @pytest.mark.parametrize("optimizer", ["random", "smac"])
-    def test_tuna_batch1_matches_sequential(self, optimizer):
-        _, cluster_a, execution_a, opt_a = make_setup(5, optimizer)
-        seq = TunaSampler(opt_a, execution_a, cluster_a, seed=5)
-        result_seq = TuningLoop(seq, max_samples=35).run()
+    def test_tuna_batch1_matches_golden(self, optimizer, batch1_golden):
+        _, cluster, execution, opt = make_setup(5, optimizer)
+        sampler = TunaSampler(opt, execution, cluster, seed=5)
+        result = TuningLoop(sampler, max_samples=35, batch_size=1).run()
+        batch1_golden(f"tuna-{optimizer}", sampler, result)
 
-        _, cluster_b, execution_b, opt_b = make_setup(5, optimizer)
-        batched = TunaSampler(opt_b, execution_b, cluster_b, seed=5)
-        result_b1 = TuningLoop(batched, max_samples=35, batch_size=1).run()
+    def test_traditional_batch1_matches_golden(self, batch1_golden):
+        _, cluster, execution, opt = make_setup(3, "smac")
+        sampler = TraditionalSampler(opt, execution, cluster, seed=3)
+        result = TuningLoop(sampler, n_iterations=12, batch_size=1).run()
+        batch1_golden("traditional-smac", sampler, result)
 
-        assert sample_trajectory(seq) == sample_trajectory(batched)
-        assert result_seq.wall_clock_hours == pytest.approx(result_b1.wall_clock_hours)
-        assert result_seq.n_iterations == result_b1.n_iterations
-        assert result_seq.best_config == result_b1.best_config
-        # Worker clocks advanced identically in both modes.
-        for vm_a, vm_b in zip(cluster_a.workers, cluster_b.workers):
-            assert vm_a.clock_hours == pytest.approx(vm_b.clock_hours)
-
-    def test_traditional_batch1_matches_sequential(self):
-        _, cluster_a, execution_a, opt_a = make_setup(3, "smac")
-        seq = TraditionalSampler(opt_a, execution_a, cluster_a, seed=3)
-        TuningLoop(seq, n_iterations=12).run()
-
-        _, cluster_b, execution_b, opt_b = make_setup(3, "smac")
-        batched = TraditionalSampler(opt_b, execution_b, cluster_b, seed=3)
-        TuningLoop(batched, n_iterations=12, batch_size=1).run()
-
-        assert sample_trajectory(seq) == sample_trajectory(batched)
-
-    def test_naive_batch1_matches_sequential(self):
-        _, cluster_a, execution_a, opt_a = make_setup(4)
-        seq = NaiveDistributedSampler(opt_a, execution_a, cluster_a, seed=4)
-        TuningLoop(seq, n_iterations=4).run()
-
-        _, cluster_b, execution_b, opt_b = make_setup(4)
-        batched = NaiveDistributedSampler(opt_b, execution_b, cluster_b, seed=4)
-        TuningLoop(batched, n_iterations=4, batch_size=1).run()
-
-        assert sample_trajectory(seq) == sample_trajectory(batched)
+    def test_naive_batch1_matches_golden(self, batch1_golden):
+        _, cluster, execution, opt = make_setup(4)
+        sampler = NaiveDistributedSampler(opt, execution, cluster, seed=4)
+        result = TuningLoop(sampler, n_iterations=4, batch_size=1).run()
+        batch1_golden("naive-random", sampler, result)
 
 
 class TestAsyncRun:
-    def test_ten_worker_batch_finishes_faster_than_sequential(self):
+    def test_ten_worker_batch_finishes_faster_than_lockstep(self):
         _, cluster_a, execution_a, opt_a = make_setup(9)
         seq = TunaSampler(opt_a, execution_a, cluster_a, seed=9)
-        result_seq = TuningLoop(seq, max_samples=40).run()
+        result_seq = TuningLoop(seq, max_samples=40, batch_size=1).run()
 
         _, cluster_b, execution_b, opt_b = make_setup(9)
         batched = TunaSampler(opt_b, execution_b, cluster_b, seed=9)
@@ -288,14 +261,14 @@ class TestZeroSampleIterationsAreFree:
             opt, execution, cluster, seed=seed, budgets=(1, 2, 4)
         ), cluster
 
-    def test_zero_sample_iteration_reports_zero_hours(self):
+    def test_zero_sample_iteration_reports_zero_hours(self, step):
         sampler, _ = self._sampler_with_duplicate_asks()
-        first = sampler.run_iteration(0)
+        first = step(sampler, 0)
         assert first.n_new_samples == 1
         assert first.wall_clock_hours > 0
         # The optimizer re-suggests the same configuration, whose budget is
         # already covered: no new samples, no wall-clock.
-        second = sampler.run_iteration(1)
+        second = step(sampler, 1)
         assert second.n_new_samples == 0
         assert second.wall_clock_hours == 0.0
 
@@ -323,30 +296,30 @@ class TestZeroSampleIterationsAreFree:
 class TestTransactionalPromotion:
     """Regression: a failed scheduling attempt must not consume the promotion."""
 
-    def _promotable_sampler(self, seed=1):
+    def _promotable_sampler(self, step, seed=1):
         _, cluster, execution, opt = make_setup(seed)
         sampler = TunaSampler(opt, execution, cluster, seed=seed)
         # Fill rung 1 until a promotion is pending.
         iteration = 0
         while sampler.schedule.n_pending_promotions() == 0:
-            sampler.run_iteration(iteration)
+            step(sampler, iteration)
             iteration += 1
         return sampler, iteration
 
-    def test_failed_scheduling_rolls_back_the_promotion(self, monkeypatch):
-        sampler, iteration = self._promotable_sampler()
+    def test_failed_scheduling_rolls_back_the_promotion(self, monkeypatch, step):
+        sampler, iteration = self._promotable_sampler(step)
 
         def boom(*args, **kwargs):
             raise RuntimeError("no free workers")
 
         monkeypatch.setattr(sampler.scheduler, "assign", boom)
         with pytest.raises(RuntimeError):
-            sampler.run_iteration(iteration)
+            step(sampler, iteration)
         monkeypatch.undo()
 
         # The configuration is still promotable: the next iteration proposes
         # and completes the same promotion instead of silently dropping it.
-        report = sampler.run_iteration(iteration + 1)
+        report = step(sampler, iteration + 1)
         assert report.budget > sampler.schedule.min_budget
 
     def test_async_driver_defers_scheduling_failures_while_work_drains(self, monkeypatch):
@@ -385,13 +358,8 @@ class TestTransactionalPromotion:
         with pytest.raises(RuntimeError, match="in-flight"):
             sampler.propose_work(4)
 
-    def test_promotion_defers_while_its_samples_are_in_flight(self):
-        _, cluster, execution, opt = make_setup(2)
-        sampler = TunaSampler(opt, execution, cluster, seed=2)
-        iteration = 0
-        while sampler.schedule.n_pending_promotions() == 0:
-            sampler.run_iteration(iteration)
-            iteration += 1
+    def test_promotion_defers_while_its_samples_are_in_flight(self, step):
+        sampler, iteration = self._promotable_sampler(step, seed=2)
         config, _ = sampler.schedule.propose_promotion()
         sampler.schedule.rollback_promotion(config)
         # Pretend a duplicate of the promotable config is still in flight:
@@ -403,8 +371,8 @@ class TestTransactionalPromotion:
             sampler.propose_work(iteration)
         assert sampler.schedule.n_pending_promotions() == 1
 
-    def test_commit_requires_a_pending_proposal(self):
-        sampler, _ = self._promotable_sampler()
+    def test_commit_requires_a_pending_proposal(self, step):
+        sampler, _ = self._promotable_sampler(step)
         space = PostgreSQLSystem().knob_space
         with pytest.raises(KeyError):
             sampler.schedule.commit_promotion(space.default_configuration())

@@ -74,7 +74,7 @@ def gray_kwargs():
 
 def run_uninterrupted(seed=9, **extra):
     sampler = make_sampler(seed)
-    result = TuningLoop(sampler, **LOOP_KWARGS, **extra).run()
+    result = TuningLoop(sampler, **{**LOOP_KWARGS, **extra}).run()
     return sampler, result
 
 
@@ -88,8 +88,7 @@ def run_killed_and_resumed(tmp_path, kill_after, seed=9, **extra):
             event_log=log,
             checkpoint_path=ckpt,
             stop_after_waves=kill_after,
-            **LOOP_KWARGS,
-            **extra,
+            **{**LOOP_KWARGS, **extra},
         ).run()
     resumed_loop = TuningLoop.resume(log)
     result = resumed_loop.run()
@@ -106,6 +105,20 @@ class TestResumeEquivalence:
         assert result.best_config == ref_result.best_config
         assert result.best_catalog_value == ref_result.best_catalog_value
         assert result.n_samples == ref_result.n_samples
+
+    @pytest.mark.parametrize("kill_after", [1, 3, 7, 15])
+    def test_bit_for_bit_lockstep(self, tmp_path, kill_after):
+        ref_sampler, ref_result = run_uninterrupted(batch_size=1)
+        loop, result, _, _ = run_killed_and_resumed(
+            tmp_path, kill_after, batch_size=1
+        )
+        assert result.n_iterations > kill_after  # the kill landed mid-study
+        assert trajectory(loop.sampler) == trajectory(ref_sampler)
+        assert result.wall_clock_hours == ref_result.wall_clock_hours
+        assert result.n_iterations == ref_result.n_iterations
+        assert result.best_catalog_value == ref_result.best_catalog_value
+        for vm_a, vm_b in zip(loop.sampler.cluster.workers, ref_sampler.cluster.workers):
+            assert vm_a.clock_hours == vm_b.clock_hours
 
     def test_bit_for_bit_with_crash_injection(self, tmp_path):
         ref_sampler, ref_result = run_uninterrupted(**CRASH_KWARGS)
@@ -191,14 +204,8 @@ class TestResumeEquivalence:
             checkpoint_path=str(tmp_path / "c.ckpt"),
             **LOOP_KWARGS,
         )
-        with pytest.raises(RuntimeError, match="asynchronous run"):
+        with pytest.raises(RuntimeError, match="while a run is active"):
             loop.checkpoint()
-
-    def test_checkpoint_requires_async_driver(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(make_sampler(), max_samples=5, checkpoint_path="x.ckpt")
-        with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(make_sampler(), max_samples=5, stop_after_waves=1)
 
 
 class TestEventLogStrictness:

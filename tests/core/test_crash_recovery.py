@@ -16,6 +16,7 @@ from repro.core import (
     AsyncExecutionEngine,
     ClusterEventLoop,
     ExecutionEngine,
+    MultiFidelityTaskScheduler,
     RetryPolicy,
     TunaSampler,
     TuningLoop,
@@ -59,15 +60,20 @@ def run_tuna(seed=5, batch_size=5, max_samples=40, n_workers=10, budgets=None, *
 
 
 class ScriptedCrash(CrashModel):
-    """Fails the n-th submission(s) at a fixed fraction of their window."""
+    """Fails the n-th submission(s) at a fraction of their window.
+
+    ``fail_at`` lists the failing calls (all at ``fraction``), or maps each
+    failing call to its own fraction.
+    """
 
     name = "scripted"
 
     def __init__(self, fail_at=(), worker_dead=False, fraction=0.5):
         super().__init__(seed=0)
-        self.fail_calls = set(fail_at)
+        if not isinstance(fail_at, dict):
+            fail_at = dict.fromkeys(fail_at, fraction)
+        self.fail_calls = fail_at
         self.worker_dead = worker_dead
-        self.fraction = fraction
         self.calls = 0
 
     def decide(self, context):
@@ -78,7 +84,7 @@ class ScriptedCrash(CrashModel):
         return CrashDecision(
             failed=True,
             fail_at_hours=context.start_hours
-            + self.fraction * context.duration_hours,
+            + self.fail_calls[call] * context.duration_hours,
             worker_dead=self.worker_dead,
             kind="node-death" if self.worker_dead else "transient",
         )
@@ -375,7 +381,7 @@ class TestNodeDeath:
 
 
 class TestSpeculationCrashInterplay:
-    def _engine(self, crash_model, stretch_at=0, factor=10.0, n_workers=6):
+    def _engine(self, crash_model, stretch_at=0, factor=10.0, n_workers=6, scheduler=False):
         class ScriptedStretch(FaultModel):
             name = "scripted"
 
@@ -397,6 +403,7 @@ class TestSpeculationCrashInterplay:
             speculation=policy,
             crash_model=crash_model,
             retry_policy=RetryPolicy(),
+            scheduler=MultiFidelityTaskScheduler(cluster, seed=0) if scheduler else None,
         )
         return engine, cluster
 
@@ -444,6 +451,47 @@ class TestSpeculationCrashInterplay:
         straggler_samples = completed[id(requests[0])]
         assert len(straggler_samples) == 1
         assert not straggler_samples[0].crashed
+
+    def test_clone_wins_after_the_original_failed(self):
+        # The straggler's clone launches at the detection crossing (0.12 h);
+        # the original (call 0) dies at 0.17 h while the clone still races,
+        # so the slot waits on the clone instead of retrying, and the clone
+        # delivers its sample at 0.22 h.
+        engine, cluster = self._engine(ScriptedCrash(fail_at=[0], fraction=0.17))
+        requests = submit_singles(engine, cluster, [0, 1, 2, 3])
+        completed = drain(engine)
+        straggler_samples = completed[id(requests[0])]
+        assert len(straggler_samples) == 1
+        assert straggler_samples[0].details.get("speculative") is True
+        assert engine.crash_stats.n_failures == 1
+        assert engine.crash_stats.n_retries == 0
+        assert engine.stats.n_duplicate_wins == 1
+
+    def test_original_then_clone_fail_retries_the_slot_once(self):
+        # The original (call 0) dies at 0.17 h while its clone races; the
+        # clone (call 4) then dies at 0.2 h as the slot's last live copy, so
+        # the slot enters recovery exactly once.  Originals hold
+        # sampler-owned reservations (taken and released here, as the
+        # sampler would); the clone and the retry hold engine-owned ones.
+        engine, cluster = self._engine(
+            ScriptedCrash(fail_at={0: 0.17, 4: 0.8}), scheduler=True
+        )
+        scheduler = engine._scheduler
+        requests = submit_singles(engine, cluster, [0, 1, 2, 3])
+        for request in requests:
+            scheduler.reserve(request.worker_ids)
+        completed = drain(engine)
+        for request in requests:
+            scheduler.release(request.worker_ids)
+        assert scheduler.n_reserved() == 0
+        assert engine.crash_stats.n_failures == 2
+        assert engine.crash_stats.n_speculative_failures == 1
+        assert engine.crash_stats.n_retries == 1
+        assert engine.crash_stats.n_exhausted == 0
+        straggler_samples = completed[id(requests[0])]
+        assert len(straggler_samples) == 1
+        assert not straggler_samples[0].crashed
+        assert straggler_samples[0].worker_id not in ("worker-0", "worker-1")
 
     def test_speculative_tuning_run_with_crashes_stays_consistent(self):
         sampler, result, _ = run_tuna(

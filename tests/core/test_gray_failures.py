@@ -579,12 +579,6 @@ class TestLoopValidation:
                 corruption_seed=0,
             )
 
-    def test_lease_timeout_requires_the_async_driver(self):
-        _, cluster, execution, opt = make_setup(0)
-        sampler = TunaSampler(opt, execution, cluster, seed=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            TuningLoop(sampler, max_samples=5, lease_timeout=0.5)
-
     def test_checkpoint_keep_validation(self):
         _, cluster, execution, opt = make_setup(0)
         sampler = TunaSampler(opt, execution, cluster, seed=0)

@@ -39,13 +39,6 @@ def make_mixed(seed=0, groups=MIXED_GROUPS):
     return system, cluster, execution, optimizer
 
 
-def sample_trajectory(sampler):
-    return [
-        (s.worker_id, s.value, s.iteration, s.budget)
-        for s in sampler.datastore.all_samples()
-    ]
-
-
 class FixedOptimizer(Optimizer):
     def __init__(self, space, config, seed=None):
         super().__init__(space, seed=seed)
@@ -167,29 +160,23 @@ class TestHeterogeneityAwarePlacement:
 
 
 class TestMixedFleetRuns:
-    def test_one_sku_mixed_fleet_reduces_to_homogeneous_lockstep(self):
+    def test_one_sku_mixed_fleet_reduces_to_homogeneous_lockstep(self, batch1_golden):
         # A fleet spec split into several groups of a single region/SKU is
-        # the homogeneous cluster: the lockstep (batch_size=1) run must
-        # reproduce the plain homogeneous sequential trajectory bit-for-bit.
+        # the homogeneous cluster: its lockstep (batch_size=1) run must
+        # reproduce the recorded homogeneous sequential trajectory.
         system = PostgreSQLSystem()
-
-        def build(fleet, seed=5):
-            cluster = Cluster(n_workers=10, seed=seed, fleet=fleet)
-            execution = ExecutionEngine(system, TPCC, seed=seed)
-            optimizer = SMACOptimizer(
-                system.knob_space, seed=seed, n_initial_design=5,
-                n_candidates=40, n_local=10, n_trees=4,
-            )
-            return TunaSampler(optimizer, execution, cluster, seed=seed)
-
         split = FleetSpec.of(
             [("westus2", "Standard_D8s_v5", 3), ("westus2", "Standard_D8s_v5", 7)]
         )
-        sequential = build(None)
-        TuningLoop(sequential, max_samples=25).run()
-        lockstep = build(split)
-        TuningLoop(lockstep, max_samples=25, batch_size=1).run()
-        assert sample_trajectory(sequential) == sample_trajectory(lockstep)
+        cluster = Cluster(n_workers=10, seed=5, fleet=split)
+        execution = ExecutionEngine(system, TPCC, seed=5)
+        optimizer = SMACOptimizer(
+            system.knob_space, seed=5, n_initial_design=5,
+            n_candidates=40, n_local=10, n_trees=4,
+        )
+        sampler = TunaSampler(optimizer, execution, cluster, seed=5)
+        result = TuningLoop(sampler, max_samples=25, batch_size=1).run()
+        batch1_golden("one-sku-fleet", sampler, result)
 
     def test_mixed_fleet_async_run_meets_budget_and_distinct_nodes(self):
         _, cluster, execution, optimizer = make_mixed(seed=13)
@@ -202,7 +189,7 @@ class TestMixedFleetRuns:
             workers = sampler.datastore.workers_used(config)
             assert len(set(workers)) == len(workers)
 
-    def test_lockstep_wall_clock_charges_slowest_assigned_worker(self):
+    def test_lockstep_wall_clock_charges_slowest_assigned_worker(self, step):
         system = PostgreSQLSystem()
         cluster = Cluster(
             seed=0, fleet=FleetSpec.of([("centralus", "Standard_D8s_v4", 4)])
@@ -213,7 +200,7 @@ class TestMixedFleetRuns:
         sampler = TunaSampler(
             optimizer, execution, cluster, seed=0, budgets=(1, 2, 4)
         )
-        report = sampler.run_iteration(0)
+        report = step(sampler, 0)
         assert report.wall_clock_hours == pytest.approx(
             execution.wall_clock_hours_per_evaluation / 0.75
         )

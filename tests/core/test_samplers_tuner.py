@@ -60,18 +60,18 @@ class TestExecutionEngine:
 
 
 class TestTraditionalSampler:
-    def test_single_worker_only(self, smac_optimizer, tpcc_execution, cluster):
+    def test_single_worker_only(self, smac_optimizer, tpcc_execution, cluster, step):
         sampler = TraditionalSampler(smac_optimizer, tpcc_execution, cluster, seed=0)
         for i in range(5):
-            report = sampler.run_iteration(i)
+            report = step(sampler, i)
             assert report.budget == 1
             assert report.n_new_samples == 1
         assert set(s.worker_id for s in sampler.datastore.all_samples()) == {"worker-0"}
 
-    def test_best_configuration_is_best_raw_value(self, random_optimizer, tpcc_execution, cluster):
+    def test_best_configuration_is_best_raw_value(self, random_optimizer, tpcc_execution, cluster, step):
         sampler = TraditionalSampler(random_optimizer, tpcc_execution, cluster, seed=0)
         for i in range(8):
-            sampler.run_iteration(i)
+            step(sampler, i)
         best_config, best_value = sampler.best_configuration()
         assert best_value == max(s.value for s in sampler.datastore.all_samples())
 
@@ -86,21 +86,21 @@ class TestTraditionalSampler:
 
 
 class TestNaiveDistributedSampler:
-    def test_every_config_runs_on_every_node(self, random_optimizer, tpcc_execution, cluster):
+    def test_every_config_runs_on_every_node(self, random_optimizer, tpcc_execution, cluster, step):
         sampler = NaiveDistributedSampler(random_optimizer, tpcc_execution, cluster, seed=0)
-        report = sampler.run_iteration(0)
+        report = step(sampler, 0)
         assert report.n_new_samples == cluster.n_workers
         assert report.budget == cluster.n_workers
 
-    def test_min_aggregation_reported(self, random_optimizer, tpcc_execution, cluster):
+    def test_min_aggregation_reported(self, random_optimizer, tpcc_execution, cluster, step):
         sampler = NaiveDistributedSampler(random_optimizer, tpcc_execution, cluster, seed=0)
-        report = sampler.run_iteration(0)
+        report = step(sampler, 0)
         assert report.reported_value == pytest.approx(min(report.raw_values))
 
-    def test_best_configuration(self, random_optimizer, tpcc_execution, cluster):
+    def test_best_configuration(self, random_optimizer, tpcc_execution, cluster, step):
         sampler = NaiveDistributedSampler(random_optimizer, tpcc_execution, cluster, seed=0)
         for i in range(3):
-            sampler.run_iteration(i)
+            step(sampler, i)
         config, value = sampler.best_configuration()
         assert config is not None and value > 0
 
@@ -114,15 +114,15 @@ class TestTunaSampler:
         with pytest.raises(ValueError):
             TunaSampler(smac_optimizer, tpcc_execution, small, budgets=(1, 3, 10))
 
-    def test_new_configs_start_at_min_budget(self, smac_optimizer, tpcc_execution, cluster):
+    def test_new_configs_start_at_min_budget(self, smac_optimizer, tpcc_execution, cluster, step):
         sampler = self._make(smac_optimizer, tpcc_execution, cluster)
-        report = sampler.run_iteration(0)
+        report = step(sampler, 0)
         assert report.budget == 1
         assert report.n_new_samples == 1
 
-    def test_promotions_reuse_samples(self, random_optimizer, tpcc_execution, cluster):
+    def test_promotions_reuse_samples(self, random_optimizer, tpcc_execution, cluster, step):
         sampler = self._make(random_optimizer, tpcc_execution, cluster)
-        reports = [sampler.run_iteration(i) for i in range(12)]
+        reports = [step(sampler, i) for i in range(12)]
         promoted = [r for r in reports if r.budget == 3]
         assert promoted, "expected at least one promotion to budget 3"
         # A promotion to budget 3 only schedules 2 new samples (1 reused).
@@ -148,17 +148,17 @@ class TestTunaSampler:
         agg = aggregate(values, TPCC.objective)
         assert apply_instability_penalty(agg, TPCC.objective) == pytest.approx(agg / 2)
 
-    def test_noise_adjuster_trains_after_max_budget(self, random_optimizer, tpcc_execution, cluster):
+    def test_noise_adjuster_trains_after_max_budget(self, random_optimizer, tpcc_execution, cluster, step):
         sampler = self._make(random_optimizer, tpcc_execution, cluster, budgets=(1, 2, 3))
         for i in range(25):
-            sampler.run_iteration(i)
+            step(sampler, i)
         assert sampler.noise_adjuster.generation >= 1
 
-    def test_ablation_switches(self, random_optimizer, tpcc_execution, cluster):
+    def test_ablation_switches(self, random_optimizer, tpcc_execution, cluster, step):
         no_model = self._make(
             random_optimizer, tpcc_execution, cluster, use_noise_adjuster=False
         )
-        report = no_model.run_iteration(0)
+        report = step(no_model, 0)
         assert report.details["model_generation"] == 0
         no_outlier = TunaSampler(
             RandomSearchOptimizer(tpcc_execution.system.knob_space, seed=1),
@@ -168,14 +168,14 @@ class TestTunaSampler:
             use_outlier_detector=False,
         )
         for i in range(5):
-            assert no_outlier.run_iteration(i).unstable is False
+            assert step(no_outlier, i).unstable is False
 
     def test_best_configuration_prefers_stable_max_budget(
-        self, random_optimizer, tpcc_execution, cluster
+        self, random_optimizer, tpcc_execution, cluster, step
     ):
         sampler = self._make(random_optimizer, tpcc_execution, cluster, budgets=(1, 2, 3))
         for i in range(20):
-            sampler.run_iteration(i)
+            step(sampler, i)
         best_config, best_value = sampler.best_configuration()
         assert best_config not in sampler._unstable_configs
 
@@ -196,12 +196,23 @@ class TestTunaSampler:
 
 
 class TestTuningLoopAndDeployment:
-    def test_requires_stopping_criterion(self, random_optimizer, tpcc_execution, cluster):
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {},
+            {"n_iterations": 0},
+            {"max_samples": 0},
+            {"max_samples": -3},
+            {"wall_clock_hours": 0.0},
+            {"wall_clock_hours": -1.0},
+        ],
+    )
+    def test_requires_stopping_criterion(
+        self, random_optimizer, tpcc_execution, cluster, budget
+    ):
         sampler = TraditionalSampler(random_optimizer, tpcc_execution, cluster, seed=0)
         with pytest.raises(ValueError):
-            TuningLoop(sampler)
-        with pytest.raises(ValueError):
-            TuningLoop(sampler, n_iterations=0)
+            TuningLoop(sampler, **budget)
 
     def test_iteration_budget_respected(self, random_optimizer, tpcc_execution, cluster):
         sampler = TraditionalSampler(random_optimizer, tpcc_execution, cluster, seed=0)

@@ -167,6 +167,18 @@ def test_graydeg_gate_is_wired_into_make_and_ci():
     )
 
 
+def test_ci_runs_the_whole_study_benchmark_selfcheck():
+    """The bench job runs perfbench's self-check, so a change that breaks a
+    whole-study workload fails CI before the benchmark itself runs."""
+    assert os.path.exists(os.path.join(REPO_ROOT, "perfbench", "selfcheck.py"))
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as fh:
+        ci = fh.read()
+    bench_job = ci[ci.index("\n  bench:"):]
+    assert "python3 perfbench/selfcheck.py" in bench_job, (
+        "the bench job must run the whole-study benchmark self-check"
+    )
+
+
 def test_ci_workflow_is_hardened():
     """Concurrency cancellation, job timeouts and the unit-test version
     matrix — CI hygiene the workflow must not silently lose."""

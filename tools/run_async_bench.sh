@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Async-execution microbenchmark smoke run: prints sequential vs 10-worker
+# Async-execution microbenchmark smoke run: prints batch_size=1 vs 10-worker
 # asynchronous simulated wall-clock for the same sample budget, asserts the
 # makespan speedup stays >= 5x, re-checks the batch-size-1 equivalence
-# gate (async lockstep mode == sequential loop, bit for bit), and writes
+# gate (lockstep mode == the recorded sequential trajectory), and writes
 # BENCH_ASYNC.json (speedup, makespans) for CI archiving.
 set -euo pipefail
 cd "$(dirname "$0")/.."
