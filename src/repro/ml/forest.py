@@ -15,8 +15,9 @@ Training layout
 per-tree integer sample-weight vectors over the shared training matrix, and
 the level-synchronous builder in :mod:`repro.ml.treebuilder` grows every
 tree's frontier together — one stable argsort per feature for the whole
-forest, one weighted cumulative-sum pass per (level, feature) to score every
-(tree, node) split candidate, flat node tables emitted directly.  The
+forest, one unpadded weighted cumulative-sum scan per level that scores every
+(tree, node, feature) split candidate at once, one stable argsort per level
+to route members to the children, flat node tables emitted directly.  The
 per-tree, per-node reference build survives as ``fit_pointer`` and is
 bit-for-bit equivalent for the same seed (same forest-RNG draw order for
 tree seeds and bootstrap counts, same per-tree feature-subsampling streams).
@@ -41,7 +42,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeRegressor, resolve_split_feature_count
+from repro.ml.tree import (
+    DecisionTreeRegressor,
+    resolve_split_feature_count,
+    validate_tree_params,
+)
 from repro.ml.treebuilder import build_forest_flat
 
 
@@ -150,6 +155,7 @@ class RandomForestRegressor:
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        validate_tree_params(min_samples_split, min_samples_leaf, max_features)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split

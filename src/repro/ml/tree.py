@@ -12,15 +12,15 @@ Training layout
 ``fit`` no longer recurses over pointer nodes: it delegates to the
 level-synchronous builder in :mod:`repro.ml.treebuilder`, which presorts each
 feature column once, grows a breadth-first frontier, and scores the best
-variance-reduction split of every node at the current depth in one weighted
-cumulative-sum pass per feature — emitting the flat node table below
-directly.  The per-node reference build survives as ``fit_pointer``: a
-level-ordered queue over :class:`_Node` objects that sorts every candidate
-feature at every node, compiled to arrays by :func:`_compile_tree`.  Both
-paths share the *same* canonical arithmetic (sequential weighted cumsums,
-level-ordered feature-subsampling draws, first-minimum tie-breaking), so for
-a fixed seed they produce **bit-for-bit identical** node tables — guarded by
-``tests/ml/test_fit_equivalence.py``.
+variance-reduction split of every node and feature at the current depth in
+one unpadded weighted cumulative-sum scan per level — emitting the flat node
+table below directly.  The per-node reference build survives as
+``fit_pointer``: a level-ordered queue over :class:`_Node` objects that sorts
+every candidate feature at every node, compiled to arrays by
+:func:`_compile_tree`.  Both paths share the *same* canonical arithmetic
+(sequential weighted cumsums, level-ordered feature-subsampling draws,
+first-minimum tie-breaking), so for a fixed seed they produce **bit-for-bit
+identical** node tables — guarded by ``tests/ml/test_fit_equivalence.py``.
 
 Inference layout
 ----------------
@@ -142,6 +142,19 @@ def _compile_tree(root: _Node) -> FlatTree:
     )
 
 
+def validate_tree_params(min_samples_split, min_samples_leaf, max_features) -> None:
+    """Reject hyperparameters no tree can be grown with."""
+    if min_samples_split < 2:
+        raise ValueError("min_samples_split must be >= 2")
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
+    if isinstance(max_features, float):
+        if not 0.0 < max_features <= 1.0:
+            raise ValueError("max_features must be in (0, 1] when a float")
+    elif max_features is not None and max_features < 1:
+        raise ValueError("max_features must be >= 1 when an int")
+
+
 # --------------------------------------------------------------------------
 # Canonical split-search arithmetic, shared (operation for operation) by the
 # pointer reference below and the vectorized builder in
@@ -177,8 +190,9 @@ def draw_feature_mask(rng: np.random.Generator, n_features: int, k: int) -> np.n
 def weighted_node_stats(w: np.ndarray, wy: np.ndarray, wyy: np.ndarray) -> tuple:
     """Weighted count, mean and variance of a node's members.
 
-    Members must be in ascending row order; the sums are sequential cumsums
-    so the builder's padded-rectangle cumsums reproduce them exactly.
+    Members must be in ascending row order; the sums are sequential cumsums,
+    which the builder's position-major segment scan reproduces exactly (it
+    makes the same additions in the same order).
     """
     total_w = np.cumsum(w)[-1]
     total_wy = np.cumsum(wy)[-1]
@@ -268,10 +282,7 @@ class DecisionTreeRegressor:
         max_features: Optional[float] = None,
         seed: Optional[int] = None,
     ) -> None:
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        validate_tree_params(min_samples_split, min_samples_leaf, max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf

@@ -3,20 +3,24 @@
 :func:`build_forest_flat` grows every tree of a forest simultaneously, one
 depth level per iteration, and emits preorder-numbered
 :class:`repro.ml.tree.FlatTree` node tables directly — no pointer nodes, no
-per-node Python recursion, and no per-node sorting:
+per-node Python recursion, no per-node sorting and no per-feature loop:
 
 * each feature column is argsorted **once per fit** (stable mergesort), and
   that order is shared by every tree and every node.  Bootstrap resamples
   are per-tree integer sample-weight vectors over the shared row universe,
   so resampling never reorders anything;
-* a node's per-feature sorted member order is maintained as a permutation
-  that is *stably partitioned* when the node splits, which preserves
-  ``(feature value, row index)`` order in both children — exactly the order
-  a per-node stable argsort would produce;
-* one NumPy pass per (level, feature) scores the best variance-reduction
-  split of **every** ``(tree, node)`` pair at once: member rows are
-  scattered into per-node zero-padded rectangles and weighted cumulative
-  sums along the rectangle rows evaluate every candidate boundary.
+* the members of every node live in one ``(n_features + 1, m)`` permutation
+  matrix.  Every row holds the same ``m`` slots grouped by node in node-id
+  order; within a node, row ``f`` keeps them in ``(x_f, row index)`` order
+  and the last row in ascending row order.  All rows therefore share one
+  set of node segments, computed once per level;
+* one scan per level runs weighted cumulative sums along every row at
+  once: the last row's totals are the node statistics, and the feature rows
+  score every split candidate of every ``(tree, node, feature)``.  A node
+  splits by relabelling its members with their child id and stably
+  argsorting each row on that label, which keeps both orders intact in the
+  children.  A level costs a fixed number of NumPy calls, whatever
+  ``n_features`` is.
 
 Bit-for-bit parity with the pointer reference
 ---------------------------------------------
@@ -30,13 +34,17 @@ rather than approximate:
    which consumes the per-tree bit stream byte-for-byte like the
    reference's per-node ``rng.random(n_features)`` calls.
 2. **Summation order** — every statistic is a sequential cumulative sum
-   over members in a defined order (ascending row index for node stats,
-   feature-sorted for split scans).  Rectangle rows are zero-padded on the
-   right, so ``np.cumsum(..., axis=1)`` performs the same additions as the
-   reference's per-node 1-D cumsums.
+   over a node's members in a defined order (ascending row index for node
+   stats, feature-sorted for split scans).  There is no padding: segments
+   are laid out position-major in order of decreasing length, so position
+   ``k`` of every segment longer than ``k`` is one contiguous slice, and
+   ``slice_k += slice_{k-1}`` makes, per segment, the same float additions
+   in the same order as the reference's 1-D ``np.cumsum``.
 3. **Tie-breaking** — first minimum along the sorted positions within a
-   feature, lowest feature index across features (``np.argmin`` on an
-   ``inf``-masked score matrix), matching the reference's strict ``<``
+   feature (``np.minimum.reduceat`` of the scores, then of the positions
+   that attain it), lowest feature index across features (``np.argmin``
+   over a ``(feature, node)`` score matrix in which features outside a
+   node's subsample are ``inf``), matching the reference's strict ``<``
    scan in ascending feature order.
 """
 
@@ -58,59 +66,113 @@ def _segment_starts(ids: np.ndarray) -> np.ndarray:
     ).astype(np.intp)
 
 
-def _stable_partition(
+def _segment_cumsum(
+    table: np.ndarray,
     perm: np.ndarray,
-    node_of: np.ndarray,
-    go_left: np.ndarray,
-    keep: np.ndarray,
+    seg_of: np.ndarray,
+    pos: np.ndarray,
+    lengths: np.ndarray,
 ) -> np.ndarray:
-    """Partition each node's slot segment into (lefts, rights), stably.
+    """Per-segment sequential cumulative sums of the ``table`` rows of ``perm``.
 
-    ``perm`` lists slots grouped by node; ``go_left``/``keep`` are flat
-    per-slot lookups.  Slots of non-splitting nodes are dropped; within a
-    surviving segment lefts keep their relative order, then rights keep
-    theirs — which preserves both the ascending-row and the feature-sorted
-    invariants in the children.  Integer prefix counts make this exact.
+    ``table`` is ``(n_slots, n_stats)``; the result is ``(n_stats,
+    perm rows, m)``.  Column ``i`` of every row of ``perm`` is position
+    ``pos[i]`` of segment ``seg_of[i]``.  The columns are gathered
+    position-major over the segments sorted by decreasing length: position
+    ``k`` of every segment longer than ``k`` is then one contiguous block,
+    and one in-place add per position advances every running sum — exactly
+    the additions ``np.cumsum`` makes over each segment alone, with no
+    padding.
     """
-    kept = perm[keep[perm]]
-    if kept.size == 0:
-        return kept
-    starts = _segment_starts(node_of[kept])
-    lengths = np.diff(np.append(starts, kept.size))
-    left = go_left[kept]
-    left_int = left.astype(np.intp)
-    prefix = np.cumsum(left_int)
-    seg_prefix = prefix - np.repeat(prefix[starts] - left_int[starts], lengths)
-    n_left = np.repeat(seg_prefix[starts + lengths - 1], lengths)
-    start_rep = np.repeat(starts, lengths)
-    pos = np.arange(kept.size, dtype=np.intp) - start_rep
-    new_pos = np.where(
-        left,
-        start_rep + seg_prefix - 1,
-        start_rep + n_left + pos - seg_prefix,
-    )
-    out = np.empty_like(kept)
-    out[new_pos] = kept
-    return out
+    n_seg = lengths.size
+    rank = np.empty(n_seg, dtype=np.intp)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(n_seg, dtype=np.intp)
+    longer = n_seg - np.cumsum(np.bincount(lengths))[:-1]  # segments longer than k
+    offset = np.concatenate(([0], np.cumsum(longer)[:-1]))
+    dest = offset[pos] + rank[seg_of]
+    src = np.empty_like(dest)
+    src[dest] = np.arange(dest.size, dtype=np.intp)
+    sums = table[perm.T[src]]  # (m, perm rows, n_stats), position-major
+    offsets, counts = offset.tolist(), longer.tolist()
+    for k in range(1, len(counts)):
+        lo, prev, count = offsets[k], offsets[k - 1], counts[k]
+        sums[lo : lo + count] += sums[prev : prev + count]
+    for stat in range(sums.shape[2]):  # back to segment-major, in place
+        sums[:, :, stat] = sums[dest, :, stat]
+    return sums.transpose(2, 1, 0)
+
+
+def _best_splits(
+    sums: np.ndarray,
+    totals: np.ndarray,
+    xs: np.ndarray,
+    seg_of: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    allowed: np.ndarray,
+    min_samples_leaf: int,
+) -> tuple:
+    """Winning feature and threshold of every node segment (``nan``: none).
+
+    ``sums``/``totals`` hold the per-segment cumulative and total ``w``,
+    ``w*y``, ``w*y*y`` of every row of the permutation matrix (the last,
+    row-ordered one is ignored); ``sums`` is overwritten.  ``xs`` holds the
+    sorted feature values.  Candidate ``p`` of a segment splits after its
+    ``p``-th member, and its score is the left plus the right child's
+    weighted SSE, computed as in :func:`repro.ml.tree.best_split_weighted`.
+    """
+    n_seg, m = starts.size, xs.shape[1]
+    cw, cwy, cwyy = sums[:, :-1]
+    tw, twy, twyy = totals[:, :-1]
+    rw = np.repeat(tw, lengths, axis=1)
+    rw -= cw
+    valid = np.zeros(xs.shape, dtype=bool)
+    np.less(xs[:, :-1], xs[:, 1:], out=valid[:, :-1])
+    valid[:, starts + lengths - 1] = False
+    valid &= cw >= min_samples_leaf
+    valid &= rw >= min_samples_leaf
+    rwy = np.repeat(twy, lengths, axis=1)
+    rwy -= cwy
+    # In place, to hold the peak footprint: cwy becomes the left SSE, cwyy
+    # the right child's w*y*y, rwy the right SSE and cw the score.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cwy **= 2
+        cwy /= cw
+        np.subtract(cwyy, cwy, out=cwy)
+        np.subtract(np.repeat(twyy, lengths, axis=1), cwyy, out=cwyy)
+        rwy **= 2
+        rwy /= rw
+        np.subtract(cwyy, rwy, out=rwy)
+    score = np.add(cwy, rwy, out=cw)
+    score[~valid] = np.inf
+    best = np.minimum.reduceat(score, starts, axis=1)  # (n_features, n_seg)
+    best[~allowed] = np.inf
+    # Lowest feature index wins ties, matching the reference's strict <;
+    # within it, the first candidate position that attains the minimum.
+    win = np.argmin(best, axis=0)
+    win_score = best[win, np.arange(n_seg)]
+    at_best = score[win[seg_of], np.arange(m)] == win_score[seg_of]
+    first = np.minimum.reduceat(np.where(at_best, np.arange(m), m), starts)
+    threshold = np.full(n_seg, np.nan)
+    split = np.flatnonzero(win_score < np.inf)
+    cut_f, cut_p = win[split], first[split]
+    threshold[split] = (xs[cut_f, cut_p] + xs[cut_f, cut_p + 1]) / 2.0
+    return win, threshold
 
 
 class _LevelRecords:
     """Node records for one depth level (parallel arrays, creation order)."""
 
-    def __init__(self, tree, total_w, value, variance, pure):
+    def __init__(self, tree, total_w, value, variance):
         count = tree.shape[0]
         self.tree = tree
         self.total_w = total_w
         self.value = value
         self.variance = variance
-        self.pure = pure
         self.feature = np.full(count, -1, dtype=np.intp)
         self.threshold = np.full(count, np.nan)
         self.left = np.full(count, -1, dtype=np.intp)
         self.right = np.full(count, -1, dtype=np.intp)
-
-    def __len__(self) -> int:
-        return self.tree.shape[0]
 
 
 def build_forest_flat(
@@ -141,207 +203,93 @@ def build_forest_flat(
         raise ValueError("need one RNG per tree")
 
     # ---- shared per-fit precomputation -----------------------------------
-    # One stable argsort per feature for the whole forest; per-slot weighted
-    # target products shared by every scan.  A "slot" is a (tree, row) pair,
-    # id = tree * n_rows + row.
-    order = np.argsort(X, axis=0, kind="mergesort")  # (n_rows, n_features)
-    x_cols = [np.ascontiguousarray(X[:, f]) for f in range(n_features)]
-    w_of = weights.ravel()
-    wy_of = (weights * y[None, :]).ravel()
-    wyy_of = (weights * y[None, :] * y[None, :]).ravel()
-    y_of = np.ascontiguousarray(np.broadcast_to(y, (n_trees, n_rows))).ravel()
-    row_of = np.ascontiguousarray(
-        np.broadcast_to(np.arange(n_rows, dtype=np.intp), (n_trees, n_rows))
-    ).ravel()
-    tree_base = (np.arange(n_trees, dtype=np.intp) * n_rows)[:, None]
+    # A "slot" is a (tree, row) pair, id = tree * n_rows + row.  One stable
+    # argsort per feature for the whole forest; per-slot weighted target
+    # products shared by every scan.
+    wy = weights * y[None, :]
+    stats = np.stack((weights, wy, wy * y[None, :]), axis=-1).reshape(-1, 3)
+    y_of = np.tile(y, n_trees)
+    row_of = np.tile(np.arange(n_rows, dtype=np.intp), n_trees)
+    X_cols = np.ascontiguousarray(X.T)
+    row_orders = np.vstack(
+        (np.argsort(X, axis=0, kind="mergesort").T, np.arange(n_rows, dtype=np.intp))
+    )  # (n_features + 1, n_rows): x-order per feature, then row order
+    tree_base = np.arange(n_trees, dtype=np.intp)[:, None] * n_rows
+    live = (weights > 0)[:, row_orders].transpose(1, 0, 2)
+    perm = (row_orders[:, None, :] + tree_base)[live].reshape(n_features + 1, -1)
+    node_of = np.repeat(np.arange(n_trees, dtype=np.intp), n_rows)  # roots: id t
 
-    active = weights > 0  # (n_trees, n_rows)
-    perms: List[np.ndarray] = []
-    for f in range(n_features):
-        tiled = order[:, f][None, :] + tree_base  # slots in x-order per tree
-        perms.append(tiled[active[:, order[:, f]]])
-    perm_idx = (np.arange(n_rows, dtype=np.intp)[None, :] + tree_base)[active]
-
-    node_of = np.full(n_trees * n_rows, -1, dtype=np.intp)
-    node_of[perm_idx] = perm_idx // n_rows  # root of tree t has global id t
-
-    def node_payload(perm: np.ndarray) -> _LevelRecords:
-        """Stats for the nodes whose members ``perm`` lists (ascending rows)."""
-        starts = _segment_starts(node_of[perm])
-        lengths = np.diff(np.append(starts, perm.size))
+    levels: List[_LevelRecords] = []
+    bases: List[int] = []
+    total_nodes = 0
+    depth = 0
+    while True:
+        # ---- node statistics and split scores of every row at once -------
+        m = perm.shape[1]
+        starts = _segment_starts(node_of[perm[-1]])
+        lengths = np.diff(np.append(starts, m))
         n_seg = starts.size
-        max_len = int(lengths.max())
         seg_of = np.repeat(np.arange(n_seg, dtype=np.intp), lengths)
-        pos = np.arange(perm.size, dtype=np.intp) - np.repeat(starts, lengths)
-        rect = np.zeros((3, n_seg, max_len))
-        rect[0, seg_of, pos] = w_of[perm]
-        rect[1, seg_of, pos] = wy_of[perm]
-        rect[2, seg_of, pos] = wyy_of[perm]
-        rect = np.cumsum(rect, axis=2)
-        last = lengths - 1
-        seg_ids = np.arange(n_seg)
-        total_w = rect[0, seg_ids, last]
-        total_wy = rect[1, seg_ids, last]
-        total_wyy = rect[2, seg_ids, last]
+        pos = np.arange(m, dtype=np.intp) - starts[seg_of]
+        sums = _segment_cumsum(stats, perm, seg_of, pos, lengths)  # (3, F+1, m)
+        totals = sums[:, :, starts + lengths - 1]
+        total_w, total_wy, total_wyy = totals[:, -1]
         mean = total_wy / total_w
         variance = np.maximum(total_wyy / total_w - mean * mean, 0.0)
-        y_vals = y_of[perm]
+        y_vals = y_of[perm[-1]]
         pure = np.minimum.reduceat(y_vals, starts) == np.maximum.reduceat(
             y_vals, starts
         )
-        return _LevelRecords(perm[starts] // n_rows, total_w, mean, variance, pure)
-
-    levels: List[_LevelRecords] = [node_payload(perm_idx)]
-    bases: List[int] = [0]
-    total_nodes = len(levels[0])
-
-    # ---- breadth-first frontier ------------------------------------------
-    level = 0
-    while True:
-        records = levels[level]
-        base = bases[level]
-        expand = (records.total_w >= min_samples_split) & ~records.pure
-        if max_depth is not None and level >= max_depth:
-            expand[:] = False
-        expand_idx = np.flatnonzero(expand)
+        records = _LevelRecords(perm[-1, starts] // n_rows, total_w, mean, variance)
+        levels.append(records)
+        bases.append(total_nodes)
+        total_nodes += n_seg
+        if max_depth is not None and depth >= max_depth:
+            break
+        expand_idx = np.flatnonzero((total_w >= min_samples_split) & ~pure)
         if expand_idx.size == 0:
             break
-        n_expand = expand_idx.size
-        expand_rank = np.full(len(records), -1, dtype=np.intp)
-        expand_rank[expand_idx] = np.arange(n_expand, dtype=np.intp)
-
-        # Retire slots of nodes that just became leaves.
-        perm_idx = perm_idx[expand[node_of[perm_idx] - base]]
-        for f in range(n_features):
-            perm = perms[f]
-            perms[f] = perm[expand[node_of[perm] - base]]
 
         # Feature-subsampling draws: per tree, one block covering its
         # expanding nodes in creation order (nodes are stored tree-major).
-        feature_mask = np.zeros((n_expand, n_features), dtype=bool)
-        expand_trees = records.tree[expand_idx]
-        bounds = np.searchsorted(expand_trees, np.arange(n_trees + 1))
-        for t in range(n_trees):
-            lo, hi = int(bounds[t]), int(bounds[t + 1])
+        keys = np.empty((expand_idx.size, n_features))
+        bounds = np.searchsorted(records.tree[expand_idx], np.arange(n_trees + 1))
+        for t, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
             if hi > lo:
-                keys = rngs[t].random((hi - lo, n_features))
-                kth = np.partition(keys, n_split_features - 1, axis=1)
-                feature_mask[lo:hi] = keys <= kth[:, n_split_features - 1 : n_split_features]
+                rngs[t].random(out=keys[lo:hi])
+        kth = np.partition(keys, n_split_features - 1, axis=1)[:, n_split_features - 1]
+        allowed = np.zeros((n_features, n_seg), dtype=bool)
+        allowed[:, expand_idx] = (keys <= kth[:, None]).T
 
-        # One scan per feature scores every (node, candidate) pair at once.
-        score = np.full((n_expand, n_features), np.inf)
-        threshold = np.zeros((n_expand, n_features))
-        for f in range(n_features):
-            perm = perms[f]
-            if perm.size == 0:
-                continue
-            ranks = expand_rank[node_of[perm] - base]
-            in_subset = feature_mask[ranks, f]
-            sub = perm[in_subset]
-            if sub.size == 0:
-                continue
-            sub_rank = ranks[in_subset]
-            starts = _segment_starts(sub_rank)
-            lengths = np.diff(np.append(starts, sub.size))
-            max_len = int(lengths.max())
-            if max_len < 2:
-                continue
-            n_seg = starts.size
-            seg_of = np.repeat(np.arange(n_seg, dtype=np.intp), lengths)
-            pos = np.arange(sub.size, dtype=np.intp) - np.repeat(starts, lengths)
-            xs = np.full((n_seg, max_len), np.nan)
-            xs[seg_of, pos] = x_cols[f][row_of[sub]]
-            rect = np.zeros((3, n_seg, max_len))
-            rect[0, seg_of, pos] = w_of[sub]
-            rect[1, seg_of, pos] = wy_of[sub]
-            rect[2, seg_of, pos] = wyy_of[sub]
-            rect = np.cumsum(rect, axis=2)
-            cw, cwy, cwyy = rect[0], rect[1], rect[2]
-            seg_ids = np.arange(n_seg)
-            last = lengths - 1
-            total_w = cw[seg_ids, last]
-            total_wy = cwy[seg_ids, last]
-            total_wyy = cwyy[seg_ids, last]
-            left_w = cw[:, :-1]
-            valid = (
-                (xs[:, :-1] < xs[:, 1:])
-                & (left_w >= min_samples_leaf)
-                & (total_w[:, None] - left_w >= min_samples_leaf)
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sse_left = cwyy[:, :-1] - cwy[:, :-1] ** 2 / left_w
-                sse_right = (total_wyy[:, None] - cwyy[:, :-1]) - (
-                    total_wy[:, None] - cwy[:, :-1]
-                ) ** 2 / (total_w[:, None] - left_w)
-                seg_scores = np.where(valid, sse_left + sse_right, np.inf)
-            best_pos = np.argmin(seg_scores, axis=1)
-            best_scores = seg_scores[seg_ids, best_pos]
-            has = np.flatnonzero(best_scores < np.inf)
-            if has.size == 0:
-                continue
-            rows_at = sub_rank[starts[has]]
-            score[rows_at, f] = best_scores[has]
-            threshold[rows_at, f] = (
-                xs[has, best_pos[has]] + xs[has, best_pos[has] + 1]
-            ) / 2.0
-
-        # Lowest feature index wins ties, matching the reference's strict <.
-        win_feature = np.argmin(score, axis=1)
-        expand_ids = np.arange(n_expand)
-        can_split = score[expand_ids, win_feature] < np.inf
-        win_threshold = threshold[expand_ids, win_feature]
+        xs = np.take_along_axis(X_cols, row_of[perm[:-1]], axis=1)
+        win, threshold = _best_splits(
+            sums, totals, xs, seg_of, starts, lengths, allowed, min_samples_leaf
+        )
+        del sums, xs  # free the scan before the next level allocates its own
+        can_split = ~np.isnan(threshold)
 
         # Route members; a midpoint that rounds onto the right value could
         # empty one child, in which case the node degenerates to a leaf.
-        ranks_idx = expand_rank[node_of[perm_idx] - base]
-        starts_idx = _segment_starts(ranks_idx)
-        lengths_idx = np.diff(np.append(starts_idx, perm_idx.size))
-        go_left = np.zeros(perm_idx.size, dtype=bool)
-        routed = can_split[ranks_idx]
-        routed_rows = row_of[perm_idx[routed]]
-        go_left[routed] = (
-            X[routed_rows, win_feature[ranks_idx[routed]]]
-            <= win_threshold[ranks_idx[routed]]
-        )
-        n_left = np.add.reduceat(go_left.astype(np.intp), starts_idx)
-        seg_rank = ranks_idx[starts_idx]
-        degenerate = can_split[seg_rank] & ((n_left == 0) | (n_left == lengths_idx))
-        if degenerate.any():
-            can_split[seg_rank[degenerate]] = False
-
-        split_ranks = np.flatnonzero(can_split)
-        if split_ranks.size == 0:
+        go_left = X[row_of[perm[-1]], win[seg_of]] <= threshold[seg_of]
+        n_left = np.add.reduceat(go_left.astype(np.intp), starts)
+        can_split &= (n_left > 0) & (n_left < lengths)
+        split = np.flatnonzero(can_split)
+        if split.size == 0:
             break
-        n_split = split_ranks.size
-        child_base = total_nodes
-        left_ids = child_base + 2 * np.arange(n_split, dtype=np.intp)
-        right_ids = left_ids + 1
-        split_no = np.full(n_expand, -1, dtype=np.intp)
-        split_no[split_ranks] = np.arange(n_split, dtype=np.intp)
+        left_ids = total_nodes + 2 * np.arange(split.size, dtype=np.intp)
+        records.feature[split] = win[split]
+        records.threshold[split] = threshold[split]
+        records.left[split] = left_ids
+        records.right[split] = left_ids + 1
 
-        global_idx = expand_idx[split_ranks]
-        records.feature[global_idx] = win_feature[split_ranks]
-        records.threshold[global_idx] = win_threshold[split_ranks]
-        records.left[global_idx] = left_ids
-        records.right[global_idx] = right_ids
-
-        # Stable-partition every permutation, then relabel slots.
-        go_left_flat = np.zeros(n_trees * n_rows, dtype=bool)
-        go_left_flat[perm_idx] = go_left
-        keep_flat = np.zeros(n_trees * n_rows, dtype=bool)
-        keep_flat[perm_idx] = can_split[ranks_idx]
-        for f in range(n_features):
-            perms[f] = _stable_partition(perms[f], node_of, go_left_flat, keep_flat)
-        perm_idx = _stable_partition(perm_idx, node_of, go_left_flat, keep_flat)
-        child_no = split_no[expand_rank[node_of[perm_idx] - base]]
-        node_of[perm_idx] = np.where(
-            go_left_flat[perm_idx], left_ids[child_no], right_ids[child_no]
-        )
-
-        levels.append(node_payload(perm_idx))
-        bases.append(child_base)
-        total_nodes += 2 * n_split
-        level += 1
+        # One partition per level: relabel members with their child id and
+        # stably sort every row on it; retired slots sort last and drop off.
+        left_of = np.full(n_seg, total_nodes + 2 * split.size, dtype=np.intp)
+        left_of[split] = left_ids
+        node_of[perm[-1]] = left_of[seg_of] + (can_split[seg_of] & ~go_left)
+        order = np.argsort(node_of[perm], axis=1, kind="stable")
+        perm = np.take_along_axis(perm, order[:, : lengths[split].sum()], axis=1)
+        depth += 1
 
     # ---- preorder renumbering and per-tree emission ----------------------
     tree_g = np.concatenate([rec.tree for rec in levels])

@@ -12,9 +12,11 @@ constant targets, and bootstrap sample weights.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, resolve_split_feature_count
+from repro.ml.treebuilder import build_forest_flat
 
 FLAT_FIELDS = ("feature", "threshold", "left", "right", "value", "variance", "n_samples")
 
@@ -155,3 +157,98 @@ class TestForestFitEquivalence:
         fast = RandomForestRegressor(n_estimators=5, seed=11).fit(X, y)
         ref = RandomForestRegressor(n_estimators=5, seed=11).fit_pointer(X, y)
         assert fast._rng.integers(0, 2**31 - 1) == ref._rng.integers(0, 2**31 - 1)
+
+
+def _study_problem(seed, n, d, n_binary):
+    """Encoded-configuration-like data: unit-interval columns, a few of them
+    quantised to knob steps, and ``n_binary`` one-hot-style 0/1 columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    X[:, 1::4] = np.round(X[:, 1::4] * 3.0) / 3.0
+    X[:, d - n_binary :] = rng.random((n, n_binary)) < 0.3
+    y = rng.lognormal(size=n) + 3.0 * X[:, 0] - X[:, d // 3]
+    return X, y
+
+
+STUDY_SHAPES = [
+    # (name, n, d, n_binary, forest kwargs) at the shapes the studies fit.
+    ("smac-postgres", 38, 21, 0, dict(min_samples_split=3, max_features=5.0 / 6.0)),
+    ("smac-redis", 92, 12, 3, dict(min_samples_split=3, max_features=5.0 / 6.0)),
+    ("noise-adjuster", 110, 35, 10, dict(min_samples_leaf=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,n,d,n_binary,kwargs", STUDY_SHAPES, ids=[case[0] for case in STUDY_SHAPES]
+)
+def test_study_shape_forest_bit_for_bit(name, n, d, n_binary, kwargs):
+    X, y = _study_problem(len(name), n, d, n_binary)
+    forest_kwargs = dict(n_estimators=24, bootstrap=True, seed=n * d, **kwargs)
+    fast = RandomForestRegressor(**forest_kwargs).fit(X, y)
+    ref = RandomForestRegressor(**forest_kwargs).fit_pointer(X, y)
+    for tree_a, tree_b in zip(fast.trees_, ref.trees_):
+        assert_flat_equal(tree_a.flat, tree_b.flat)
+
+
+def _assert_builder_matches_pointer(X, y, weights, seeds, **tree_kwargs):
+    """``build_forest_flat`` over all rows of ``weights`` at once equals one
+    ``fit_pointer`` per row with the same weights and seed."""
+    max_features = tree_kwargs.pop("max_features", None)
+    flats = build_forest_flat(
+        X,
+        y,
+        weights,
+        [np.random.default_rng(seed) for seed in seeds],
+        max_depth=tree_kwargs.get("max_depth"),
+        min_samples_split=tree_kwargs.get("min_samples_split", 2),
+        min_samples_leaf=tree_kwargs.get("min_samples_leaf", 1),
+        n_split_features=resolve_split_feature_count(max_features, X.shape[1]),
+    )
+    for flat, w, seed in zip(flats, weights, seeds):
+        ref = DecisionTreeRegressor(max_features=max_features, seed=seed, **tree_kwargs)
+        assert_flat_equal(flat, ref.fit_pointer(X, y, sample_weight=w).flat)
+
+
+def test_one_long_segment_among_many_single_member_nodes():
+    """A level whose nodes are one long segment and many length-1 ones:
+    the edge of the length-sorted position-major scan layout."""
+    X, y = _problem(12, 50, 4, duplicates=True)
+    weights = np.zeros((33, 50))
+    weights[0] = 1.0  # one tree over every row
+    weights[1:31, np.arange(30)] = np.eye(30)  # thirty one-row trees
+    weights[31, :2] = 1.0  # two short trees
+    weights[32, [5, 9, 40]] = 2.0
+    _assert_builder_matches_pointer(X, y, weights, range(100, 133), max_features=0.5)
+
+
+@st.composite
+def _weighted_problems(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    levels = draw(st.lists(st.sampled_from([0, 2, 3]), min_size=d, max_size=d))
+    for col, n_levels in enumerate(levels):
+        if n_levels:  # duplicate-heavy column
+            X[:, col] = rng.integers(0, n_levels, size=n)
+    y = np.round(rng.normal(size=n) + X[:, 0], draw(st.sampled_from([1, 8])))
+    n_trees = draw(st.integers(1, 3))
+    weights = rng.integers(0, 4, size=(n_trees, n)).astype(float)
+    weights[:, 0] += weights.sum(axis=1) == 0  # every tree needs a member
+    max_features = draw(
+        st.none() | st.floats(0.05, 1.0) | st.integers(1, d + 2)
+    )
+    tree_kwargs = dict(
+        max_features=max_features,
+        max_depth=draw(st.none() | st.integers(0, 6)),
+        min_samples_split=draw(st.integers(2, 4)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+    )
+    return X, y, weights, [seed + t for t in range(n_trees)], tree_kwargs
+
+
+@given(_weighted_problems())
+def test_property_builder_equals_pointer(problem):
+    X, y, weights, seeds, tree_kwargs = problem
+    _assert_builder_matches_pointer(X, y, weights, seeds, **tree_kwargs)

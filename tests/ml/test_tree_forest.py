@@ -1,5 +1,7 @@
 """Tests for the CART tree and random-forest regressors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             DecisionTreeRegressor(min_samples_leaf=0)
 
+    @pytest.mark.parametrize("max_features", [2.0, 1.5, 0.0, -0.5, float("nan"), 0, -3])
+    def test_invalid_max_features(self, max_features):
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTreeRegressor(max_features=max_features)
+
+    @pytest.mark.parametrize("max_features", [1.0, 0.01, 1, 99, None])
+    def test_boundary_max_features_fit(self, max_features):
+        X, y = _make_regression(n=40)
+        tree = DecisionTreeRegressor(max_features=max_features, seed=0).fit(X, y)
+        assert np.all(np.isfinite(tree.predict(X)))
+
     def test_variance_prediction_zero_for_pure_leaves(self):
         X, y = _make_regression(n=50)
         tree = DecisionTreeRegressor(seed=0).fit(X, y)
@@ -171,8 +184,33 @@ class TestRandomForest:
     def test_errors(self):
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=0)
+        with pytest.raises(ValueError, match="min_samples_split"):
+            RandomForestRegressor(min_samples_split=1)
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            RandomForestRegressor(min_samples_leaf=0)
+        for max_features in (1.5, 2.0, -0.5, 0.0, 0):
+            with pytest.raises(ValueError, match="max_features"):
+                RandomForestRegressor(max_features=max_features)
         forest = RandomForestRegressor(n_estimators=3)
         with pytest.raises(RuntimeError):
             forest.predict([[1.0]])
         with pytest.raises(ValueError):
             forest.fit(np.zeros((0, 2)), [])
+
+
+def test_forest_fit_memory_budget():
+    """A 24-tree fit at the noise adjuster's largest shape (110 rows x 35
+    features) stays under 8 MB of traced allocations.  The split scan scores
+    every feature at once, so a return to padded (n_nodes, max_len)
+    rectangles, now stacked over all features, would break this bound."""
+    rng = np.random.default_rng(0)
+    X = rng.random((110, 35))
+    y = rng.normal(size=110) + X[:, 0]
+    forest = RandomForestRegressor(n_estimators=24, min_samples_leaf=2, seed=0)
+    tracemalloc.start()
+    try:
+        forest.fit(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000, f"fit peaked at {peak / 1e6:.1f} MB"
