@@ -12,8 +12,8 @@ Scoping conventions (see :class:`~repro.analysis.framework.FileContext`):
 * *benchmark code* (anything under ``benchmarks/`` or named ``bench*``)
   legitimately reads wall clocks, so DET002 does not apply there;
 * the ordering rules DET004/DET005 only fire on the ordering-sensitive
-  subsystems they protect (``core``/``ml`` trees, tie-break-sensitive
-  modules);
+  subsystems they protect (``core``/``ml``/``configspace``/``optimizers``
+  trees, tie-break-sensitive modules);
 * DET006 fires everywhere except ``core/eventlog.py`` itself, the only
   module allowed to mint the log envelope.
 * DET007 only fires on the failure-handling subsystems (``core``/``faults``
@@ -280,13 +280,15 @@ class UnorderedIteration(Rule):
     title = "set/dict-keys iteration in ordering-sensitive code"
     rationale = (
         "Iterating a set (hash-ordered, randomised for str) or bare "
-        "`.keys()` in `core/` or `ml/` feeds consumers whose draw order, "
-        "placement or tell order defines the trajectory; iterate a sorted "
-        "or insertion-ordered sequence instead."
+        "`.keys()` in `core/`, `ml/`, `configspace/` or `optimizers/` feeds "
+        "consumers whose draw order, placement or tell order defines the "
+        "trajectory (in `configspace/` and `optimizers/` the knob-iteration "
+        "order is the RNG draw order of the candidate pool); iterate a "
+        "sorted or insertion-ordered sequence instead."
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.has_part("core", "ml")
+        return ctx.has_part("core", "ml", "configspace", "optimizers")
 
     def _iter_findings(
         self, iter_node: ast.AST, ctx: FileContext

@@ -80,17 +80,61 @@ class ConfigurationSpace:
 
     def sample_batch(self, n: int, rng: Optional[np.random.Generator] = None) -> List[Configuration]:
         """Draw ``n`` random configurations, one columnar draw per knob."""
-        if n < 0:
+        return self.candidate_pool(n, rng=rng).configurations()
+
+    def candidate_pool(
+        self,
+        n_random: int,
+        incumbents: Sequence[Configuration] = (),
+        per_incumbent: int = 0,
+        rng: Optional[np.random.Generator] = None,
+        scale: float = 0.2,
+    ) -> "CandidatePool":
+        """A pool of candidates held as one column per knob.
+
+        The pool is ``n_random`` uniform random rows followed, for each
+        incumbent in order, by ``per_incumbent`` single-knob perturbations
+        of it.  Draw order: one ``sample_column`` per knob in knob order;
+        then per incumbent the perturbed knob of every row, followed by one
+        ``neighbour_column`` per perturbed knob in knob order.
+        """
+        if n_random < 0:
             raise ValueError("n must be non-negative")
-        if n == 0:
-            return []
         rng = rng if rng is not None else self._rng
-        columns = [p.sample_array(n, rng) for p in self.parameters]
+        params = self.parameters
         names = self.names
-        return [
-            Configuration._from_validated(self, dict(zip(names, row)))
-            for row in zip(*columns)
-        ]
+        if per_incumbent <= 0:
+            incumbents = ()
+        bases = [config.as_dict() for config in incumbents]
+        # Neighbour rows are built without per-configuration re-validation,
+        # so the base values must be legal *in this space* (the config may
+        # come from a structurally identical space with different bounds).
+        for base in bases:
+            for name in names:
+                self[name].validate(base[name])
+        columns = []
+        for p, name in zip(params, names):
+            blocks = [p.sample_column(n_random, rng)] if n_random else []
+            if bases:
+                cells = p.column_of([base[name] for base in bases])
+                blocks.append(np.repeat(cells, per_incumbent))
+            columns.append(np.concatenate(blocks) if blocks else p.column_of([]))
+        perturbed = np.empty(len(bases) * per_incumbent, dtype=np.int64)
+        for i, base in enumerate(bases):
+            chosen = rng.integers(0, self.dimension, size=per_incumbent)
+            perturbed[i * per_incumbent : (i + 1) * per_incumbent] = chosen
+            # Rows grouped by perturbed knob, ascending within each knob.
+            rows = n_random + i * per_incumbent + np.argsort(chosen, kind="stable")
+            counts = np.bincount(chosen, minlength=self.dimension).tolist()
+            start = 0
+            for knob, count in enumerate(counts):
+                if count == 0:
+                    continue
+                columns[knob][rows[start : start + count]] = params[knob].neighbour_column(
+                    base[names[knob]], count, rng, scale=scale
+                )
+                start += count
+        return CandidatePool(self, columns, n_random, bases, per_incumbent, perturbed)
 
     # -- encoding ------------------------------------------------------
     def encode(self, config: Configuration) -> np.ndarray:
@@ -157,30 +201,67 @@ class ConfigurationSpace:
         rng: Optional[np.random.Generator] = None,
         scale: float = 0.2,
     ) -> List[Configuration]:
-        """A list of ``n`` single-knob perturbations of ``config``.
-
-        The perturbed knob is drawn per neighbour, then all neighbours that
-        share a knob are perturbed with one columnar ``neighbour_array``
-        call on that knob's parameter.
-        """
-        rng = rng if rng is not None else self._rng
+        """A list of ``n`` single-knob perturbations of ``config``."""
         if n <= 0:
             return []
-        base = config.as_dict()
-        # The neighbours are built without per-configuration re-validation,
-        # so the base values must be legal *in this space* (the config may
-        # come from a structurally identical space with different bounds).
-        for name in self.names:
-            self[name].validate(base[name])
-        chosen = rng.integers(0, self.dimension, size=n)
-        rows: List[Dict] = [dict(base) for _ in range(n)]
-        for index, name in enumerate(self.names):
-            slots = np.flatnonzero(chosen == index)
-            if slots.size == 0:
-                continue
-            perturbed = self[name].neighbour_array(
-                base[name], slots.size, rng, scale=scale
-            )
-            for slot, value in zip(slots.tolist(), perturbed):
-                rows[slot][name] = value
-        return [Configuration._from_validated(self, values) for values in rows]
+        return self.candidate_pool(0, [config], n, rng=rng, scale=scale).configurations()
+
+
+class CandidatePool:
+    """Candidate configurations held as one array per knob.
+
+    Built by :meth:`ConfigurationSpace.candidate_pool`.  Optimizers encode
+    and score every row with :meth:`encode` and build a
+    :class:`Configuration` only for the rows they keep.
+    """
+
+    def __init__(
+        self,
+        space: ConfigurationSpace,
+        columns: List[np.ndarray],
+        n_random: int,
+        bases: List[Dict],
+        per_incumbent: int,
+        perturbed: np.ndarray,
+    ) -> None:
+        self.space = space
+        self._columns = columns
+        self._n_random = n_random
+        self._bases = bases
+        self._per_incumbent = per_incumbent
+        # Knob index perturbed in each neighbour row (rows n_random onwards).
+        self._perturbed = perturbed
+
+    def __len__(self) -> int:
+        return self._n_random + len(self._perturbed)
+
+    def encode(self) -> np.ndarray:
+        """Unit-cube encoding of every row, one columnar op per knob."""
+        out = np.empty((len(self), self.space.dimension), dtype=float)
+        for j, (p, column) in enumerate(zip(self.space.parameters, self._columns)):
+            out[:, j] = p.encode_column(column)
+        return out
+
+    def configurations(self, rows: Optional[Sequence[int]] = None) -> List[Configuration]:
+        """The configurations at ``rows`` (default: every row), Python-typed.
+
+        A neighbour row copies its incumbent's values and replaces only the
+        perturbed knob, so untouched knobs keep the incumbent's own values.
+        """
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows, dtype=np.int64)
+        names = self.space.names
+        values = [
+            p.column_values(column[rows])
+            for p, column in zip(self.space.parameters, self._columns)
+        ]
+        configs = []
+        for i, row in enumerate(rows.tolist()):
+            if row < self._n_random:
+                config_values = {name: column[i] for name, column in zip(names, values)}
+            else:
+                offset = row - self._n_random
+                config_values = dict(self._bases[offset // self._per_incumbent])
+                knob = int(self._perturbed[offset])
+                config_values[names[knob]] = values[knob][i]
+            configs.append(Configuration._from_validated(self.space, config_values))
+        return configs

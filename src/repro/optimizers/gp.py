@@ -55,14 +55,12 @@ class GaussianProcessOptimizer(Optimizer):
         )
         gp.fit(X, y)
 
-        candidates = self.space.sample_batch(self.n_candidates, rng=self._rng)
+        top = []
         if configs:
             order = np.argsort(y, kind="stable")
             top = [configs[int(i)] for i in order[: max(1, len(order) // 10)]]
-            for incumbent in top:
-                candidates.extend(self.space.neighbours(incumbent, 20, rng=self._rng, scale=0.1))
-        cand_X = self.space.encode_batch(candidates)
-        mean, std = gp.predict(cand_X, return_std=True)
+        pool = self.space.candidate_pool(self.n_candidates, top, 20, rng=self._rng, scale=0.1)
+        mean, std = gp.predict(pool.encode(), return_std=True)
         ei = expected_improvement(mean, std, best_cost=float(np.min(y)), xi=self.xi)
         best_indices = np.flatnonzero(ei >= ei.max() - 1e-12)
-        return candidates[int(self._rng.choice(best_indices))]
+        return pool.configurations([int(self._rng.choice(best_indices))])[0]

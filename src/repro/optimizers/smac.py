@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.configspace import Configuration, ConfigurationSpace
+from repro.configspace import CandidatePool, Configuration, ConfigurationSpace
 from repro.ml.cache import SurrogateCache
 from repro.ml.forest import RandomForestRegressor
 from repro.optimizers.acquisition import expected_improvement
@@ -33,8 +33,11 @@ class SMACOptimizer(Optimizer):
     n_candidates:
         Number of random candidates scored by EI per ask.
     n_local:
-        Number of local perturbations of the best configurations added to the
-        candidate pool.
+        Budget of local perturbations of the best configurations (the top
+        tenth of the observations) added to the candidate pool.  Each of
+        those incumbents gets ``max(1, n_local // len(top))`` neighbours, so
+        the pool can hold more than ``n_local`` of them when there are more
+        incumbents than ``n_local``; ``n_local=0`` disables local search.
     n_trees:
         Size of the random-forest surrogate.
     """
@@ -105,17 +108,16 @@ class SMACOptimizer(Optimizer):
         self._surrogate_cache.put(self.data_version, fitted)
         return fitted
 
-    def _candidate_pool(self, configs: List[Configuration], y: np.ndarray) -> List[Configuration]:
-        candidates = self.space.sample_batch(self.n_candidates, rng=self._rng)
+    def _candidate_pool(self, configs: List[Configuration], y: np.ndarray) -> CandidatePool:
+        top: List[Configuration] = []
+        per_incumbent = 0
         if configs and self.n_local > 0:
             order = np.argsort(y, kind="stable")
             top = [configs[int(i)] for i in order[: max(1, len(order) // 10)]]
             per_incumbent = max(1, self.n_local // len(top))
-            for incumbent in top:
-                candidates.extend(
-                    self.space.neighbours(incumbent, per_incumbent, rng=self._rng, scale=0.15)
-                )
-        return candidates
+        return self.space.candidate_pool(
+            self.n_candidates, top, per_incumbent, rng=self._rng, scale=0.15
+        )
 
     # -- ask ------------------------------------------------------
     def ask(self) -> Configuration:
@@ -133,16 +135,15 @@ class SMACOptimizer(Optimizer):
             return self.space.sample(self._rng)
 
         forest, X, y, configs = self._fit_surrogate()
-        candidates = self._candidate_pool(configs, y)
-        if not candidates:
+        pool = self._candidate_pool(configs, y)
+        if len(pool) == 0:
             # Degenerate pool (n_candidates=0 and no local search): fall back
             # to a random sample instead of letting ``ei.max()`` raise on an
             # empty array.
             return self.space.sample(self._rng)
-        cand_X = self.space.encode_batch(candidates)
-        mean, std = forest.predict_mean_std(cand_X)
+        mean, std = forest.predict_mean_std(pool.encode())
         ei = expected_improvement(mean, std, best_cost=float(np.min(y)), xi=self.xi)
         # Break ties randomly so repeated asks don't collapse to one point.
         best_indices = np.flatnonzero(ei >= ei.max() - 1e-12)
         choice = int(self._rng.choice(best_indices))
-        return candidates[choice]
+        return pool.configurations([choice])[0]

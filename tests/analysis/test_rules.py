@@ -69,7 +69,15 @@ class TestRuleFixtures:
     def test_det004_good_fixture_is_silent(self):
         assert codes(FIXTURES / "det004" / "core" / "good.py") == []
 
-    def test_det004_is_scoped_to_core_and_ml(self):
+    def test_det004_fires_where_knob_order_is_draw_order(self):
+        # In configspace/ and optimizers/ the knob-iteration order is the
+        # candidate pool's RNG draw order.
+        found, _ = codes_and_lines(FIXTURES / "det004" / "configspace" / "bad.py")
+        assert found == [("DET004", 6)]  # for name in set(space.names)
+        found, _ = codes_and_lines(FIXTURES / "det004" / "optimizers" / "bad.py")
+        assert found == [("DET004", 5)]  # comprehension over base.keys()
+
+    def test_det004_is_scoped_to_ordering_sensitive_trees(self):
         assert codes(FIXTURES / "det004" / "elsewhere" / "unscoped.py") == []
 
     def test_det005_bad_fixture_fires(self):

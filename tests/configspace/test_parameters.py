@@ -238,6 +238,12 @@ class TestColumnarParameterOps:
         with pytest.raises(ValueError):
             p.encode_array(["x", "z"])
 
+    def test_categorical_encode_column_bound_checks_indices(self):
+        p = CategoricalParameter("c", ["x", "y", "z"])
+        for column in ([0, 3], [-1, 1]):
+            with pytest.raises(ValueError):
+                p.encode_column(np.array(column))
+
     def test_base_class_fallbacks_used_by_custom_subclass(self):
         from repro.configspace.parameters import Parameter
 

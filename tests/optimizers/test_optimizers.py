@@ -1,5 +1,7 @@
 """Tests for the optimizer substrate."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -229,9 +231,13 @@ class TestSMAC:
         for _ in range(3):
             config = opt.ask()
             opt.tell(config, quadratic_cost(config))
+        twin = copy.deepcopy(opt)
         config = opt.ask()  # surrogate path with an empty candidate pool
-        for name in space.names:
-            space[name].validate(config[name])
+        # The empty pool draws nothing: ask() is the surrogate fit's seed
+        # draw followed by one space.sample on the optimizer's stream.
+        twin._fit_surrogate()
+        assert config == twin.space.sample(twin._rng)
+        TestAskedConfigsArePythonTyped.assert_python_typed(space, config)
 
     def test_n_local_zero_disables_local_search(self):
         opt = SMACOptimizer(make_space(), seed=0, n_candidates=50, n_local=0)
@@ -408,3 +414,40 @@ class TestSMACSurrogateCache:
         opt = self._warm_optimizer()
         asked = {tuple(sorted(opt.ask().as_dict().items())) for _ in range(8)}
         assert len(asked) >= 2
+
+
+class TestAskedConfigsArePythonTyped:
+    """Asked configs carry Python scalars, never NumPy scalars: under NumPy 2
+    ``repr(np.float64(x)) != repr(x)``, which would change config digests
+    and the event log."""
+
+    @staticmethod
+    def assert_python_typed(space, config):
+        for name in space.names:
+            value = config[name]
+            assert not isinstance(value, np.generic), (name, type(value))
+            p = space[name]
+            if isinstance(p, BooleanParameter):
+                assert type(value) is bool
+            elif isinstance(p, CategoricalParameter):
+                assert any(value is choice for choice in p.choices), (name, value)
+            elif isinstance(p, IntegerParameter):
+                assert type(value) is int
+            else:
+                assert type(value) is float
+
+    @pytest.mark.parametrize(
+        "make_optimizer",
+        [
+            lambda space: SMACOptimizer(space, seed=1, n_initial_design=3, n_candidates=60),
+            lambda space: GaussianProcessOptimizer(space, seed=1, n_initial_design=3, n_candidates=60),
+        ],
+        ids=["smac", "gp"],
+    )
+    def test_surrogate_asks_return_python_scalars(self, make_optimizer):
+        space = make_space(seed=1)
+        opt = make_optimizer(space)
+        for _ in range(10):
+            config = opt.ask()
+            self.assert_python_typed(space, config)
+            opt.tell(config, quadratic_cost(config))
