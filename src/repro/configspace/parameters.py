@@ -284,7 +284,9 @@ class CategoricalParameter(Parameter):
         choices_list: List = list(choices)
         if len(choices_list) < 2:
             raise ValueError(f"{name}: categorical parameters need >= 2 choices")
-        if len(set(map(repr, choices_list))) != len(choices_list):
+        # Compared with ``==`` (not ``repr``), like validate/encode/index:
+        # ``[1, True]`` or ``[1, 1.0]`` would share one bucket.
+        if any(choice in choices_list[:i] for i, choice in enumerate(choices_list)):
             raise ValueError(f"{name}: duplicate choices")
         self.choices = choices_list
         if default is None:

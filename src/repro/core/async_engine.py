@@ -80,6 +80,7 @@ the equivalence property tests and the ``make bench-eventloop`` baseline.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -758,6 +759,12 @@ class AsyncExecutionEngine:
         self._request_id_of: Dict[int, int] = {}  # item sequence -> request id
         # Speculation bookkeeping (all keyed by item sequence / config).
         self._live: Dict[int, WorkItem] = {}  # in-flight, not cancelled
+        # Straggler watch: the live non-speculative items that may still be
+        # cloned, one list per worker speed sorted by (start, sequence).  A
+        # run's threshold crossing and its normalised elapsed time are both
+        # monotone in its start within one speed, so each check reads only
+        # the prefix of every list that actually crosses.
+        self._watched: Dict[float, List[Tuple[float, int, WorkItem]]] = {}
         self._clone_of: Dict[int, int] = {}  # clone seq -> original seq
         self._clones_of: Dict[int, List[int]] = {}  # original seq -> live clone seqs
         self._n_clones: Dict[int, int] = {}  # original seq -> clones launched
@@ -822,7 +829,7 @@ class AsyncExecutionEngine:
         for vm in request.vms:
             item = self.loop.submit(request, vm, self.duration_for(vm))
             self._request_id_of[item.sequence] = request_id
-            self._live[item.sequence] = item
+            self._go_live(item)
             assigned.add(vm.vm_id)
             items.append(item)
             self._log(
@@ -983,7 +990,7 @@ class AsyncExecutionEngine:
             self._maybe_speculate()
             return result
         item = self.loop.next_completion()
-        self._live.pop(item.sequence, None)
+        self._leave_live(item.sequence)
         if item.fenced:
             self._handle_zombie(item)
             self._maybe_speculate()
@@ -998,7 +1005,7 @@ class AsyncExecutionEngine:
             # any sibling duplicates of the same slot.
             original_seq = self._clone_of.pop(item.sequence)
             self._cancel_clones_of(original_seq, keep=item.sequence)
-            original = self._live.pop(original_seq, None)
+            original = self._leave_live(original_seq)
             if original is not None:
                 self._cancel_item(original)
                 if original.retried and self._scheduler is not None:
@@ -1143,7 +1150,7 @@ class AsyncExecutionEngine:
         worker_id = item.vm.vm_id
         suspected_at = self.loop.now
         self.gray_stats.n_suspected += 1
-        self._live.pop(item.sequence, None)
+        self._leave_live(item.sequence)
         self._log(
             "suspect",
             item=item.sequence,
@@ -1322,7 +1329,7 @@ class AsyncExecutionEngine:
                 )
                 item.retried = True
                 self._attempts[item.sequence] = attempts + 1
-                self._live[item.sequence] = item
+                self._go_live(item)
                 self._request_id_of[item.sequence] = request_id
                 self._config_workers.setdefault(request.config, set()).add(vm.vm_id)
                 if self._scheduler is not None:
@@ -1384,7 +1391,7 @@ class AsyncExecutionEngine:
             if clone_seq == keep:
                 continue
             self._clone_of.pop(clone_seq, None)
-            clone = self._live.pop(clone_seq, None)
+            clone = self._leave_live(clone_seq)
             if clone is None:
                 continue
             self._cancel_item(clone)
@@ -1459,6 +1466,59 @@ class AsyncExecutionEngine:
             if (item.speculative or item.retried) and item.request.config == config
         ]
 
+    def _go_live(self, item: WorkItem) -> None:
+        """Track a submitted item as in flight (and watch it for straggling)."""
+        self._live[item.sequence] = item
+        if self._detector is not None and not item.speculative:
+            insort(
+                self._watched.setdefault(item.vm.speed_factor, []),
+                (item.start_hours, item.sequence, item),
+            )
+
+    def _leave_live(self, sequence: int) -> Optional[WorkItem]:
+        """Stop tracking an in-flight item; returns it (``None`` if untracked)."""
+        item = self._live.pop(sequence, None)
+        if item is not None:
+            self._unwatch(item)
+        return item
+
+    def _unwatch(self, item: WorkItem) -> None:
+        group = self._watched.get(item.vm.speed_factor)
+        if not group:
+            return
+        index = bisect_left(group, (item.start_hours, item.sequence))
+        if index < len(group) and group[index][2] is item:
+            del group[index]
+
+    def _crossings(
+        self, threshold: float, horizon: float
+    ) -> List[Tuple[float, int, WorkItem]]:
+        """Watched runs crossing ``threshold`` before ``horizon``, as
+        ``(crossing, sequence, item)`` in crossing order (ties: submission)."""
+        crossings: List[Tuple[float, int, WorkItem]] = []
+        for speed, group in self._watched.items():
+            for start, sequence, item in group:
+                # Normalised elapsed reaches the threshold at this instant.
+                crossing = start + threshold / speed
+                if not crossing < horizon:
+                    break
+                crossings.append((crossing, sequence, item))
+        crossings.sort(key=lambda entry: (entry[0], entry[1]))
+        return crossings
+
+    def _stragglers(self, threshold: float, now: float) -> List[WorkItem]:
+        """Watched runs whose normalised elapsed time at ``now`` exceeds
+        ``threshold``, in submission order.  A queued run (start after
+        ``now``) has negative elapsed time, so it never qualifies."""
+        stragglers: List[Tuple[int, WorkItem]] = []
+        for group in self._watched.values():
+            for start, sequence, item in group:
+                if not self.execution.work_units(item.vm, now - start) > threshold:
+                    break
+                stragglers.append((sequence, item))
+        stragglers.sort(key=lambda entry: entry[0])
+        return [item for _, item in stragglers]
+
     def _speculate_at_crossings(self) -> None:
         """Process straggler *detection events* before the next completion.
 
@@ -1481,19 +1541,9 @@ class AsyncExecutionEngine:
             next_finish = self.loop.peek_finish()
             if next_finish is None:
                 return
-            crossings = []
-            for sequence, item in self._live.items():
-                if item.speculative:
-                    continue
-                if self._n_clones.get(sequence, 0) >= self.speculation.max_clones_per_item:
-                    continue
-                # Normalised elapsed reaches the threshold at this instant.
-                crossing = item.start_hours + threshold / item.vm.speed_factor
-                if crossing < next_finish:
-                    crossings.append((crossing, sequence, item))
+            crossings = self._crossings(threshold, next_finish)
             if not crossings:
                 return
-            crossings.sort(key=lambda entry: (entry[0], entry[1]))
             progressed = False
             for crossing, _, item in crossings:
                 next_finish = self.loop.peek_finish()
@@ -1511,7 +1561,7 @@ class AsyncExecutionEngine:
         Runs whose speed-normalised elapsed time exceeds the detector
         threshold are flagged (counted once) and, as soon as an idle
         eligible worker exists, duplicated onto the fastest such worker.
-        Deterministic: the live-item scan follows submission order, worker
+        Deterministic: stragglers are handled in submission order, worker
         ranking is by (speed, cluster index), and no RNG is consumed.
         """
         if self.speculation is None or self._detector is None:
@@ -1519,18 +1569,8 @@ class AsyncExecutionEngine:
         threshold = self._detector.threshold()
         if threshold is None:
             return
-        now = self.loop.now
-        for sequence in list(self._live):
-            item = self._live.get(sequence)
-            if item is None or item.speculative or item.cancelled:
-                continue
-            if self._n_clones.get(sequence, 0) >= self.speculation.max_clones_per_item:
-                continue
-            if item.start_hours > now:
-                continue  # still queued behind other work, not running
-            elapsed = self.execution.work_units(item.vm, now - item.start_hours)
-            if elapsed > threshold:
-                self._speculate(item)
+        for item in self._stragglers(threshold, self.loop.now):
+            self._speculate(item)
 
     def _speculate(self, item: WorkItem) -> bool:
         """Flag a straggler (counted once) and clone it onto an idle eligible
@@ -1568,11 +1608,14 @@ class AsyncExecutionEngine:
         """Launch the speculative duplicate of a straggling item."""
         request = item.request
         clone = self.loop.submit(request, vm, self.duration_for(vm), speculative=True)
-        self._live[clone.sequence] = clone
+        self._go_live(clone)
         self._request_id_of[clone.sequence] = self._request_id_of[item.sequence]
         self._clone_of[clone.sequence] = item.sequence
         self._clones_of.setdefault(item.sequence, []).append(clone.sequence)
-        self._n_clones[item.sequence] = self._n_clones.get(item.sequence, 0) + 1
+        n_clones = self._n_clones.get(item.sequence, 0) + 1
+        self._n_clones[item.sequence] = n_clones
+        if self.speculation is not None and n_clones >= self.speculation.max_clones_per_item:
+            self._unwatch(item)
         self._config_workers.setdefault(request.config, set()).add(vm.vm_id)
         if self._scheduler is not None:
             self._scheduler.reserve([vm.vm_id])

@@ -10,8 +10,11 @@ confidence of catching unstable configurations).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.configspace import Configuration
 from repro.workloads.base import Objective
@@ -21,6 +24,7 @@ from repro.workloads.base import Objective
 class _RungEntry:
     config: Configuration
     value: float  # aggregated objective value at this rung
+    order: int  # insertion position in the rung (the stable tie-break)
     promoted: bool = False
     #: Reserved by :meth:`SuccessiveHalvingSchedule.propose_promotion` but not
     #: yet committed — the promotion is in flight (being scheduled/evaluated).
@@ -30,6 +34,14 @@ class _RungEntry:
 @dataclass
 class SuccessiveHalvingSchedule:
     """Decides whether to promote an existing configuration or try a new one.
+
+    Each rung is kept ranked as results arrive: an entry is inserted by
+    bisection on ``(value, insertion order)`` (value negated when higher is
+    better), which is exactly the stable ``sorted`` order of the rung, and a
+    re-recorded configuration moves to its new place.  A config → entry map
+    per rung makes :meth:`record` and the promotion commit/rollback O(1)
+    lookups, and :meth:`propose_promotion` / :meth:`n_pending_promotions`
+    only walk the promotable top ``1/eta`` of a rung — nothing re-sorts.
 
     Parameters
     ----------
@@ -54,7 +66,29 @@ class SuccessiveHalvingSchedule:
             raise ValueError("budgets must be strictly increasing")
         if self.eta <= 1.0:
             raise ValueError("eta must be > 1")
-        self._rungs = {budget: [] for budget in self.budgets}
+        self._rungs = {budget: [] for budget in self.budgets}  # insertion order
+        self._build_indexes()
+
+    def _build_indexes(self) -> None:
+        """Derive the config → entry maps and the best-first rung orders."""
+        self._index: Dict[int, Dict[Configuration, _RungEntry]] = {
+            budget: {entry.config: entry for entry in rung}
+            for budget, rung in self._rungs.items()
+        }
+        self._ranked: Dict[int, List[_RungEntry]] = {
+            budget: sorted(rung, key=self._rank_key)
+            for budget, rung in self._rungs.items()
+        }
+
+    # Checkpoints pickle the rungs only; the indexes are rebuilt on load.
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_index"], state["_ranked"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._build_indexes()
 
     # ------------------------------------------------------------------ info
     @property
@@ -81,28 +115,38 @@ class SuccessiveHalvingSchedule:
         return self.rung_configs(self.max_budget)
 
     # ------------------------------------------------------------------ record
+    def _rank_key(self, entry: _RungEntry) -> Tuple[float, int]:
+        """Position of an entry in its rung's best-first order."""
+        if self.objective.higher_is_better:
+            return -entry.value, entry.order
+        return entry.value, entry.order
+
     def record(self, config: Configuration, budget: int, value: float) -> None:
         """Record the aggregated value a configuration achieved at a rung."""
         if budget not in self._rungs:
             raise ValueError(f"unknown budget {budget}")
-        for entry in self._rungs[budget]:
-            if entry.config == config:
-                entry.value = value
-                return
-        self._rungs[budget].append(_RungEntry(config, value))
+        if math.isnan(value):
+            raise ValueError("a rung value cannot be NaN (it has no rank)")
+        ranked = self._ranked[budget]
+        entry = self._index[budget].get(config)
+        if entry is None:
+            rung = self._rungs[budget]
+            entry = _RungEntry(config, value, order=len(rung))
+            rung.append(entry)
+            self._index[budget][config] = entry
+        else:
+            del ranked[bisect_left(ranked, self._rank_key(entry), key=self._rank_key)]
+            entry.value = value
+        insort(ranked, entry, key=self._rank_key)
 
     # ------------------------------------------------------------------ decide
-    def _better(self, a: float, b: float) -> bool:
-        if self.objective.higher_is_better:
-            return a > b
-        return a < b
-
-    def _sorted_entries(self, budget: int) -> List[_RungEntry]:
-        return sorted(
-            self._rungs[budget],
-            key=lambda entry: entry.value,
-            reverse=self.objective.higher_is_better,
-        )
+    def _promotable(self, budget: int) -> Iterator[_RungEntry]:
+        """The rung's top ``1/eta`` entries, best first (none while the rung
+        holds fewer than ``eta`` configurations)."""
+        ranked = self._ranked[budget]
+        if len(ranked) < self.eta:
+            return iter(())
+        return islice(ranked, max(1, int(len(ranked) / self.eta)))
 
     def propose_promotion(self) -> Optional[Tuple[Configuration, int]]:
         """Return ``(config, next_budget)`` if some rung is ready to promote.
@@ -119,13 +163,7 @@ class SuccessiveHalvingSchedule:
         configuration would be silently lost from its rung forever.
         """
         for budget in reversed(self.budgets[:-1]):
-            entries = self._rungs[budget]
-            if len(entries) < self.eta:
-                continue
-            ranked = self._sorted_entries(budget)
-            n_promotable = max(1, int(len(ranked) / self.eta))
-            top = ranked[:n_promotable]
-            for entry in top:
+            for entry in self._promotable(budget):
                 if not entry.promoted and not entry.pending:
                     entry.pending = True
                     return entry.config, self.next_budget(budget)
@@ -133,9 +171,9 @@ class SuccessiveHalvingSchedule:
 
     def _pending_entry(self, config: Configuration) -> _RungEntry:
         for budget in self.budgets[:-1]:
-            for entry in self._rungs[budget]:
-                if entry.config == config and entry.pending:
-                    return entry
+            entry = self._index[budget].get(config)
+            if entry is not None and entry.pending:
+                return entry
         raise KeyError(f"no pending promotion for {config!r}")
 
     def commit_promotion(self, config: Configuration) -> None:
@@ -156,14 +194,9 @@ class SuccessiveHalvingSchedule:
 
     def n_pending_promotions(self) -> int:
         """How many configurations are currently eligible for promotion."""
-        count = 0
-        for budget in self.budgets[:-1]:
-            ranked = self._sorted_entries(budget)
-            if len(ranked) < self.eta:
-                continue
-            n_promotable = max(1, int(len(ranked) / self.eta))
-            count += sum(
-                1 for entry in ranked[:n_promotable]
-                if not entry.promoted and not entry.pending
-            )
-        return count
+        return sum(
+            1
+            for budget in self.budgets[:-1]
+            for entry in self._promotable(budget)
+            if not entry.promoted and not entry.pending
+        )

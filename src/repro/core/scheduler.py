@@ -21,7 +21,7 @@ scheduler would do, and what the heterogeneous-fleet benchmark beats.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # annotation only; obs is an optional attachment
 
 #: Known placement policies (see class docstring).
 PLACEMENT_POLICIES = ("heterogeneity", "fifo")
+
+#: A worker's round-invariant placement terms: queue wait, region, normalised
+#: load, random tie-break, and the worker itself.
+_Candidate = Tuple[float, str, float, float, VirtualMachine]
 
 
 class MultiFidelityTaskScheduler:
@@ -181,9 +185,9 @@ class MultiFidelityTaskScheduler:
         return usage
 
     def _rank_heterogeneity(
-        self, eligible: List[VirtualMachine], used: Sequence[str]
+        self, eligible: List[VirtualMachine], used: Sequence[str], needed: int
     ) -> List[VirtualMachine]:
-        """Throughput-normalised, diversity-aware ranking.
+        """Throughput-normalised, diversity-aware pick of ``needed`` workers.
 
         Selection key, most significant first:
 
@@ -200,32 +204,45 @@ class MultiFidelityTaskScheduler:
         Workers are picked greedily one at a time, and each pick feeds back
         into the diversity term, so a multi-node request spreads across
         regions instead of scoring them all against the same pre-request
-        usage.  The random tie-break is drawn once per eligible worker up
-        front; on a homogeneous single-region fleet (uniform speed, one
-        region) terms 1-3 are round-invariant and order exactly like the
-        legacy ``(reserved, load)`` pair, the RNG is consumed identically,
-        and the greedy selection equals the legacy one-shot sort — placement
-        is bit-for-bit the legacy placement.
+        usage.  Terms 1, 3 and 4 do not change between picks, so they are
+        computed once per call, and the greedy loop stops after ``needed``
+        picks: a call costs at most ``needed × len(eligible)`` key
+        evaluations, whatever the fleet size.  The random tie-break is still
+        drawn once per eligible worker up front, so the scheduler's RNG
+        advances exactly as when every eligible worker was ranked.  On a
+        homogeneous single-region fleet (uniform speed, one region) terms
+        1-3 order exactly like the legacy ``(reserved, load)`` pair and the
+        greedy selection equals the legacy one-shot sort — placement is
+        bit-for-bit the legacy placement.
         """
         region_usage = self._region_usage(used)
-        tiebreak = {vm.vm_id: self._rng.random() for vm in eligible}
-        remaining = list(eligible)
-        ordered: List[VirtualMachine] = []
-        while remaining:
-            best = min(
-                remaining,
-                key=lambda vm: (
-                    (self._reserved[vm.vm_id] + 1) / self._speed[vm.vm_id],
-                    region_usage.get(self._region[vm.vm_id], 0),
-                    self._load[vm.vm_id] / self._speed[vm.vm_id],
-                    tiebreak[vm.vm_id],
-                ),
+        tiebreak = self._rng.random(len(eligible)).tolist()
+        remaining: List[_Candidate] = []
+        for vm, draw in zip(eligible, tiebreak):
+            worker_id = vm.vm_id
+            speed = self._speed[worker_id]
+            remaining.append(
+                (
+                    (self._reserved[worker_id] + 1) / speed,
+                    self._region[worker_id],
+                    self._load[worker_id] / speed,
+                    draw,
+                    vm,
+                )
             )
+
+        def key(entry: _Candidate) -> Tuple[float, int, float, float]:
+            wait, region, load, draw, _ = entry
+            return (wait, region_usage.get(region, 0), load, draw)
+
+        chosen: List[VirtualMachine] = []
+        for _ in range(needed):
+            best = min(remaining, key=key)
             remaining.remove(best)
-            ordered.append(best)
-            region = self._region[best.vm_id]
+            chosen.append(best[4])
+            region = best[1]
             region_usage[region] = region_usage.get(region, 0) + 1
-        return ordered
+        return chosen
 
     def rank_speculative(
         self, eligible: Sequence[VirtualMachine]
@@ -288,10 +305,9 @@ class MultiFidelityTaskScheduler:
                 f"need {needed}, have {len(eligible)}"
             )
         if self.placement == "fifo":
-            order = self._rank_fifo(eligible)
+            chosen = self._rank_fifo(eligible)[:needed]
         else:
-            order = self._rank_heterogeneity(eligible, used)
-        chosen = order[:needed]
+            chosen = self._rank_heterogeneity(eligible, used, needed)
         for vm in chosen:
             self._load[vm.vm_id] += 1
         if self.metrics is not None:

@@ -111,15 +111,19 @@ class RingBuffer:
     def n_spilled(self) -> int:
         return self.spilled.count
 
-    def append(self, value: float) -> None:
+    def append(self, value: float) -> Optional[float]:
+        """Append one value; returns the value it evicted, if the ring was full."""
         value = float(value)
+        evicted: Optional[float] = None
         if self._size == self.capacity:
-            self.spilled.observe(float(self._values[self._next]))
+            evicted = float(self._values[self._next])
+            self.spilled.observe(evicted)
         else:
             self._size += 1
         self._values[self._next] = value
         self._next = (self._next + 1) % self.capacity
         self.n_appended += 1
+        return evicted
 
     def as_array(self) -> np.ndarray:
         """Buffered values, oldest first (a copy; safe to mutate)."""

@@ -18,8 +18,10 @@ duplicate on an idle worker.  The execution engine owns the mechanics
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,32 @@ class SpeculationPolicy:
             raise ValueError("history_window must be >= min_history")
 
 
+def sorted_quantile(values: Sequence[float], q: float) -> float:
+    """``np.quantile(values, q)`` of an ascending sequence, in O(1).
+
+    Bit for bit numpy's default ``"linear"`` method: the same virtual index
+    ``(n - 1) * q``, the same neighbours (the last value when the index
+    reaches the end) and the same two-sided interpolation formula, so a
+    caller that keeps its window sorted can drop the per-query partition.
+    ``values`` must be free of NaN.
+    """
+    n = len(values)
+    if n == 0:
+        raise ValueError("quantile of an empty sequence")
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        below = above = values[-1]
+        gamma = virtual + 1.0  # numpy measures it from index -1
+    else:
+        index = math.floor(virtual)
+        below, above = values[index], values[index + 1]
+        gamma = virtual - index
+    diff = above - below
+    if gamma >= 0.5:
+        return above - diff * (1.0 - gamma)
+    return below + diff * gamma
+
+
 class StragglerDetector:
     """Quantile detector over completed-sample duration statistics.
 
@@ -63,7 +91,10 @@ class StragglerDetector:
     normalised durations); evicted values survive only as aggregates.  This
     keeps detector memory independent of run length and makes the threshold
     a moving-window statistic — identical to the unwindowed detector for
-    any run shorter than the window.
+    any run shorter than the window.  A sorted copy of the window is kept
+    alongside (bisect insert, bisect evict), so a new threshold is one
+    O(1) :func:`sorted_quantile` lookup — bit for bit ``np.quantile`` of
+    the window — instead of a partition per completion.
     """
 
     def __init__(self, policy: Optional[SpeculationPolicy] = None) -> None:
@@ -74,7 +105,18 @@ class StragglerDetector:
 
         self.policy = policy if policy is not None else SpeculationPolicy()
         self._durations = RingBuffer(self.policy.history_window)
+        self._sorted: List[float] = []  # the ring's values, ascending
         self._threshold: Optional[float] = None  # cache, invalidated by observe
+
+    # Checkpoints pickle the ring only; the sorted copy is rebuilt on load.
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_sorted"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._sorted = sorted(self._durations.as_array().tolist())
 
     @property
     def n_observed(self) -> int:
@@ -88,9 +130,13 @@ class StragglerDetector:
 
     def observe(self, normalized_duration: float) -> None:
         """Record one completed run's speed-normalised duration."""
-        if normalized_duration < 0:
-            raise ValueError("durations cannot be negative")
-        self._durations.append(float(normalized_duration))
+        if not normalized_duration >= 0:
+            raise ValueError("durations cannot be negative or NaN")
+        value = float(normalized_duration) + 0.0  # folds -0.0 into 0.0
+        evicted = self._durations.append(value)
+        if evicted is not None:
+            del self._sorted[bisect_left(self._sorted, evicted)]
+        insort(self._sorted, value)
         self._threshold = None
 
     def threshold(self) -> Optional[float]:
@@ -102,7 +148,7 @@ class StragglerDetector:
         if self._durations.n_appended < self.policy.min_history:
             return None
         if self._threshold is None:
-            anchor = self._durations.quantile(self.policy.quantile)
+            anchor = sorted_quantile(self._sorted, self.policy.quantile)
             self._threshold = anchor * self.policy.slack
         return self._threshold
 

@@ -117,6 +117,18 @@ class TestCategoricalParameter:
         with pytest.raises(ValueError):
             CategoricalParameter("c", ["a", "a"])
 
+    @pytest.mark.parametrize("choices", [[1, True], [0, False], [1, 1.0], [1, True, "x"]])
+    def test_equal_choices_with_distinct_reprs_rejected(self, choices):
+        # validate/encode/index compare with ==, so these would share a bucket
+        # (decode(encode(True)) would return 1).
+        with pytest.raises(ValueError, match="duplicate choices"):
+            CategoricalParameter("c", choices)
+
+    def test_unequal_mixed_type_choices_accepted(self):
+        p = CategoricalParameter("c", [1, "x", None])
+        for choice in p.choices:
+            assert p.decode(p.encode(choice)) is choice
+
     def test_default_is_first_choice(self):
         p = CategoricalParameter("c", ["a", "b", "c"])
         assert p.default == "a"

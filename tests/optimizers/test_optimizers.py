@@ -1,6 +1,9 @@
 """Tests for the optimizer substrate."""
 
 import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +116,26 @@ class TestAcquisition:
             improvement * stats.norm.cdf(z) + s * stats.norm.pdf(z), 0.0
         )
         assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        # ``ndtr`` is imported inside ``expected_improvement``: importing the
+        # package skips scipy's import cost until a surrogate first scores.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestBaseOptimizer:

@@ -7,9 +7,12 @@ The same fail-loud discipline is asserted for the durable event log: a
 damaged study log must refuse to load, naming the offending line.
 """
 
+import json
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -177,6 +180,63 @@ def test_ci_runs_the_whole_study_benchmark_selfcheck():
     assert "python3 perfbench/selfcheck.py" in bench_job, (
         "the bench job must run the whole-study benchmark self-check"
     )
+
+
+def test_ci_publishes_per_layer_shares_for_every_workload():
+    """The bench job runs one short traced perfbench seed per workload and
+    appends its per-layer share table to the job summary."""
+    assert os.path.exists(os.path.join(TOOLS_DIR, "perfbench_summary.py"))
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as fh:
+        ci = fh.read()
+    bench_job = ci[ci.index("\n  bench:"):]
+    step = bench_job[bench_job.index("- name: Per-layer host-time shares"):]
+    step = step[: step.index("\n      - name:")]
+    assert "--seed 1 --seconds 5 --trace 1" in step
+    assert "python3 tools/perfbench_summary.py" in step
+    assert '>> "$GITHUB_STEP_SUMMARY"' in step
+    for workload in workloads:
+        assert workload in step, f"no share table for workload {workload}"
+
+
+def _summary(tmp_path, metrics):
+    output = tmp_path / "perfbench.txt"
+    result_line = json.dumps({"correct": True, "metrics": metrics})
+    output.write_text("workload w  seed 1\n  engine.share  0.1 fraction\n" + result_line + "\n")
+    return subprocess.run(
+        [
+            sys.executable,
+            os.path.join(TOOLS_DIR, "perfbench_summary.py"),
+            "--title",
+            "w",
+            str(output),
+        ],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_perfbench_summary_renders_the_share_metrics(tmp_path):
+    result = _summary(
+        tmp_path,
+        {
+            "engine.share": {"value": 0.068, "unit": "fraction"},
+            "checkpoint.share": {"value": 0.75, "unit": "fraction"},
+            "engine.self_s": {"value": 0.7, "unit": "s"},
+        },
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "### Per-layer host-time shares: w"
+    rows = [line for line in lines if line.startswith("| ") and "---" not in line]
+    assert rows == ["| Layer | Share |", "| checkpoint | 0.750 |", "| engine | 0.068 |"]
+
+
+def test_perfbench_summary_fails_on_an_untraced_run(tmp_path):
+    result = _summary(tmp_path, {"samples_per_s": {"value": 300.0, "unit": "samples/s"}})
+    assert result.returncode == 1
+    assert "--trace 1" in result.stderr
 
 
 def test_ci_workflow_is_hardened():
